@@ -141,7 +141,10 @@ type Stats struct {
 	// former during set computation.
 	ItemConstraintChecks int64
 	SetConstraintChecks  int64
-	// PairChecks counts 2-var evaluations during final pair formation.
+	// PairChecks counts the per-pair 2-var constraint evaluations pair
+	// formation performed (residual filters and materialization). Pairs
+	// the keyed join settles by hash lookup or binary search cost none, so
+	// it can be below PairCount.
 	PairChecks int64
 	// CandidatesPruned counts candidates generated or materialized and then
 	// discarded — by a constraint, a frequency test, or pair rejection.

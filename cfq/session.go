@@ -82,7 +82,9 @@ func (s *Session) SetCacheLimit(maxBytes int64) {
 // CacheStats describes the session's lattice cache: lookup counters (one
 // lookup per query side), LRU evictions, and current occupancy.
 type CacheStats struct {
-	// Hits and Misses count cache lookups.
+	// Hits and Misses count the cache lookups of runs that completed: a
+	// run that fails after its lookups (cancelled in pair formation, say)
+	// counts neither, even when it mined and cached a lattice.
 	Hits, Misses int
 	// Evictions counts lattices dropped by the SetCacheLimit bound
 	// (including oversized lattices rejected at insert).
@@ -156,12 +158,14 @@ func (s *Session) RunContext(ctx context.Context, q *Query) (res *Result, err er
 	// CandidatesPruned stays equal to the per-site pruning attribution — the
 	// same accounting contract the engine strategies keep.
 	ires := &core.Result{}
-	sSets, err := s.side(ctx, "S", db, icfq.DomainS, icfq.MinSupportS, budget, &ires.Stats)
+	// Cache lookups are counted only once the run completes.
+	var look cacheLookups
+	sSets, err := s.side(ctx, "S", db, icfq.DomainS, icfq.MinSupportS, budget, &ires.Stats, &look)
 	if err != nil {
 		publishRun(time.Since(start), nil, err)
 		return nil, convertErr(err)
 	}
-	tSets, err := s.side(ctx, "T", db, icfq.DomainT, icfq.MinSupportT, budget, &ires.Stats)
+	tSets, err := s.side(ctx, "T", db, icfq.DomainT, icfq.MinSupportT, budget, &ires.Stats, &look)
 	if err != nil {
 		publishRun(time.Since(start), nil, err)
 		return nil, convertErr(err)
@@ -186,83 +190,33 @@ func (s *Session) RunContext(ctx context.Context, q *Query) (res *Result, err er
 		fsp.End(ires.Stats.Counters())
 	}
 
-	var psp *obs.Span
-	if tracer != nil {
-		psp = tracer.Start("pairs").WithStats(ires.Stats.Counters())
+	if err := core.FormPairs(ctx, icfq, ires); err != nil {
+		publishRun(time.Since(start), nil, err)
+		return nil, err
 	}
-
-	// Pair formation with the 2-var constraints, as in the engine: a
-	// rejected pair is one pruned answer candidate charged to its
-	// constraint's "pairs:" site, and the enumeration yields to ctx
-	// periodically so a drain or deadline can abort a dense answer space.
-	const pairCancelStride = 8192
-	validS, validT := ires.ValidS(), ires.ValidT()
-	if len(icfq.Constraints2) == 0 {
-		ires.PairCount = int64(len(validS)) * int64(len(validT))
-		limit := ires.PairCount
-		if icfq.MaxPairs > 0 && int64(icfq.MaxPairs) < limit {
-			limit = int64(icfq.MaxPairs)
-		}
-		for i := int64(0); i < limit; i++ {
-			if i%pairCancelStride == 0 && ctx.Err() != nil {
-				publishRun(time.Since(start), nil, ctx.Err())
-				return nil, convertErr(fmt.Errorf("cfq: forming pairs: %w", ctx.Err()))
-			}
-			ires.Pairs = append(ires.Pairs, core.Pair{
-				S: validS[i/int64(len(validT))], T: validT[i%int64(len(validT))]})
-		}
-	} else {
-		sites := make([]string, len(icfq.Constraints2))
-		for i, c2 := range icfq.Constraints2 {
-			sites[i] = fmt.Sprintf("pairs:%v", c2)
-		}
-		var iter int64
-		for _, sv := range validS {
-			for _, tv := range validT {
-				if iter%pairCancelStride == 0 && ctx.Err() != nil {
-					publishRun(time.Since(start), nil, ctx.Err())
-					return nil, convertErr(fmt.Errorf("cfq: forming pairs: %w", ctx.Err()))
-				}
-				iter++
-				ok := true
-				for i, c2 := range icfq.Constraints2 {
-					ires.Stats.PairChecks++
-					if !c2.Satisfies(sv.Set, tv.Set) {
-						ok = false
-						ires.Stats.CandidatesPruned++
-						prune.Charge(sites[i], 1)
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				ires.PairCount++
-				if icfq.MaxPairs == 0 || len(ires.Pairs) < icfq.MaxPairs {
-					ires.Pairs = append(ires.Pairs, core.Pair{S: sv, T: tv})
-				}
-			}
-		}
-	}
-	if psp != nil {
-		psp.SetAttrs(obs.Int64("pair_count", ires.PairCount))
-		psp.End(ires.Stats.Counters())
-	}
+	s.mu.Lock()
+	s.hits += look.hits
+	s.misses += look.misses
+	s.mu.Unlock()
+	obs.MCacheHits.Add(int64(look.hits))
 	publishRun(time.Since(start), &ires.Stats, nil)
 	res = convertResult(ires)
 	res.Report = tracer.Report()
 	return res, nil
 }
 
+// cacheLookups tallies one run's cache lookups until the run completes.
+type cacheLookups struct{ hits, misses int }
+
 // side returns the cached unconstrained lattice for a domain, mining it if
-// absent or cached at a higher threshold than requested. The lookup (and
-// its hit counter) is one critical section; mining happens outside the
-// lock, and a failed mining run stores nothing — the cache is never
-// poisoned by partial lattices. db is the compiled snapshot this run
-// captured; a store is skipped when the cache has moved to a newer
-// snapshot, so a slow run racing a dataset mutation cannot resurrect a
-// stale lattice.
-func (s *Session) side(ctx context.Context, label string, db *txdb.DB, domain itemset.Set, minSup int, budget *mine.Budget, stats *mine.Stats) ([]mine.Counted, error) {
+// absent or cached at a higher threshold than requested, and records the
+// lookup in look, which the caller commits once the run completes. The
+// lookup is one critical section; mining happens outside the lock, and a
+// failed mining run stores nothing — the cache is never poisoned by
+// partial lattices. db is the compiled snapshot this run captured; a store
+// is skipped when the cache has moved to a newer snapshot, so a slow run
+// racing a dataset mutation cannot resurrect a stale lattice.
+func (s *Session) side(ctx context.Context, label string, db *txdb.DB, domain itemset.Set, minSup int, budget *mine.Budget, stats *mine.Stats, look *cacheLookups) ([]mine.Counted, error) {
 	key := "*"
 	if domain != nil {
 		key = domain.Key()
@@ -270,12 +224,11 @@ func (s *Session) side(ctx context.Context, label string, db *txdb.DB, domain it
 	tracer := obs.FromContext(ctx)
 	s.mu.Lock()
 	if entry := s.cache[key]; entry != nil && entry.minSup <= minSup && s.db == db {
-		s.hits++
+		look.hits++
 		s.seq++
 		entry.lastUse = s.seq
 		sets := entry.sets
 		s.mu.Unlock()
-		obs.MCacheHits.Inc()
 		if tracer != nil {
 			tracer.Start(label+":cache-hit", obs.Int("sets", len(sets))).End(nil)
 		}
@@ -283,7 +236,8 @@ func (s *Session) side(ctx context.Context, label string, db *txdb.DB, domain it
 	}
 	s.mu.Unlock()
 	// Published at the decision point (not after mining) so a mid-run
-	// metrics scrape sees the lookup that is being served right now.
+	// metrics scrape sees the lookup that is being served right now; the
+	// CacheStats counter waits for the run to complete.
 	obs.MCacheMisses.Inc()
 
 	// The cache-miss span is structural: the labeled miner below emits its
@@ -313,8 +267,8 @@ func (s *Session) side(ctx context.Context, label string, db *txdb.DB, domain it
 	for _, lv := range levels {
 		sets = append(sets, lv...)
 	}
+	look.misses++
 	s.mu.Lock()
-	s.misses++
 	// Keep the lowest-threshold lattice: it can serve every refinement.
 	// Store only while the cache still describes the snapshot we mined —
 	// a concurrent mutation flips s.db and this (now stale) lattice must

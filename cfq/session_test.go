@@ -1,6 +1,10 @@
 package cfq
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -125,5 +129,129 @@ func TestSessionWrongDataset(t *testing.T) {
 	}
 	if _, err := sess.Run(nil); err == nil {
 		t.Error("nil query accepted")
+	}
+}
+
+// typedDataset builds a seeded dataset of 14 items with tied prices and
+// three types, dense enough that S.Type = T.Type joins many pairs.
+func typedDataset(t *testing.T) *Dataset {
+	t.Helper()
+	const n = 14
+	r := rand.New(rand.NewSource(7))
+	prices := make([]float64, n)
+	types := make([]string, n)
+	for i := range prices {
+		prices[i] = float64(1 + r.Intn(6))
+		types[i] = []string{"a", "b", "c"}[r.Intn(3)]
+	}
+	ds := NewDataset(n)
+	if err := ds.SetNumeric("Price", prices); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.SetCategorical("Type", types); err != nil {
+		t.Fatal(err)
+	}
+	txs := make([][]int, 80)
+	for i := range txs {
+		for it := 0; it < n; it++ {
+			if r.Intn(3) == 0 {
+				txs[i] = append(txs[i], it)
+			}
+		}
+	}
+	if err := ds.AddTransactions(txs); err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// orderedPairs renders the answer in its returned order.
+func orderedPairs(res *Result) string {
+	var b strings.Builder
+	for _, p := range res.Pairs {
+		fmt.Fprintf(&b, "%v|%v;", p.S.Items, p.T.Items)
+	}
+	return b.String()
+}
+
+// TestPairFormationAgreesAcrossPaths: on agg(S.Price) op agg(T.Price) &
+// S.Type = T.Type, the session, one-shot Optimized, Sequential and a
+// two-worker Optimized run return the same pairs in the same order and the
+// same PairCount, at MaxPairs 0 and 3, and each keeps its pruning
+// attribution summing to CandidatesPruned. (The sums themselves differ by
+// path: the session keeps S- and T-sets that the optimizer's reductions
+// prune before pair formation.)
+func TestPairFormationAgreesAcrossPaths(t *testing.T) {
+	ds := typedDataset(t)
+	sess := NewSession(ds)
+	joins := []Constraint2{
+		Join(Max, "Price", LE, Min, "Price"),
+		Join(Sum, "Price", LE, Sum, "Price"),
+		Join(Avg, "Price", GE, Avg, "Price"),
+		Join(Min, "Price", EQ, Max, "Price"),
+		Join(Sum, "Price", NE, Sum, "Price"),
+	}
+	for _, join := range joins {
+		for _, maxPairs := range []int{0, 3} {
+			query := func() *Query {
+				return NewQuery(ds).MinSupport(12).MaxPairs(maxPairs).
+					Where2(join, DomainJoin(EqualTo, "Type", "Type"))
+			}
+			paths := []struct {
+				name string
+				run  func(context.Context) (*Result, error)
+			}{
+				{"session", func(ctx context.Context) (*Result, error) { return sess.RunContext(ctx, query()) }},
+				{"optimized", func(ctx context.Context) (*Result, error) { return query().RunContext(ctx, Optimized) }},
+				{"sequential", func(ctx context.Context) (*Result, error) { return query().RunContext(ctx, Sequential) }},
+				{"workers-2", func(ctx context.Context) (*Result, error) { return query().Workers(2).RunContext(ctx, Optimized) }},
+			}
+			var want *Result
+			for _, p := range paths {
+				prune := NewPruneSet()
+				res, err := p.run(WithPruning(context.Background(), prune))
+				if err != nil {
+					t.Fatalf("%v, MaxPairs %d, %s: %v", join, maxPairs, p.name, err)
+				}
+				if got := prune.Total(); got != res.Stats.CandidatesPruned {
+					t.Errorf("%v, MaxPairs %d, %s: prune sites sum to %d, CandidatesPruned %d",
+						join, maxPairs, p.name, got, res.Stats.CandidatesPruned)
+				}
+				if want == nil {
+					want = res
+					if res.PairCount == 0 {
+						t.Fatalf("%v: empty answer exercises nothing", join)
+					}
+					continue
+				}
+				if res.PairCount != want.PairCount || orderedPairs(res) != orderedPairs(want) {
+					t.Errorf("%v, MaxPairs %d: %s answered %d pairs %s, session %d pairs %s",
+						join, maxPairs, p.name, res.PairCount, orderedPairs(res), want.PairCount, orderedPairs(want))
+				}
+			}
+		}
+	}
+}
+
+// TestSessionCancelledInPairFormation: a pre-cancelled context on a warm
+// session gets past the cache lookups, fails in pair formation with the
+// cancellation wrapped, and leaves the cache counters untouched.
+func TestSessionCancelledInPairFormation(t *testing.T) {
+	ds := typedDataset(t)
+	sess := NewSession(ds)
+	query := NewQuery(ds).MinSupport(12).
+		Where2(Join(Sum, "Price", LE, Sum, "Price"), DomainJoin(EqualTo, "Type", "Type"))
+	if _, err := sess.Run(query); err != nil {
+		t.Fatal(err)
+	}
+	before := sess.CacheStats()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := sess.RunContext(ctx, query)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "forming pairs") {
+		t.Fatalf("err = %v, want a forming-pairs error wrapping context.Canceled", err)
+	}
+	if after := sess.CacheStats(); after != before {
+		t.Errorf("cancelled run changed CacheStats: %+v -> %+v", before, after)
 	}
 }

@@ -16,27 +16,36 @@ import (
 	"repro/internal/txdb"
 )
 
-// itemSupports computes the support of every domain item in one database
-// scan (counted in the db's scan total, like any other pass).
-func itemSupports(db *txdb.DB, domain itemset.Set) map[itemset.Item]int64 {
-	sup := make(map[itemset.Item]int64, domain.Len())
+// itemSupports computes the support of every item in one database scan
+// (counted in the db's scan total, like any other pass).
+func itemSupports(db *txdb.DB) supports {
+	sup := make(supports, db.NumItems())
 	db.Scan(func(_ int, t itemset.Set) {
 		for _, it := range t {
-			if domain.Contains(it) {
-				sup[it]++
-			}
+			sup[it]++
 		}
 	})
 	return sup
 }
 
+// supports holds item supports indexed by item id.
+type supports []int64
+
+// of returns the support of item it; 0 for items no transaction holds.
+func (s supports) of(it itemset.Item) int64 {
+	if int(it) < len(s) {
+		return s[it]
+	}
+	return 0
+}
+
 // estimateSelectivity returns the estimated fraction of candidate mass the
 // constraint keeps, in [0, 1], or -1 when the domain carries no support
 // mass at all (no estimate possible).
-func estimateSelectivity(c constraint.Constraint, domain itemset.Set, sup map[itemset.Item]int64) float64 {
+func estimateSelectivity(c constraint.Constraint, domain itemset.Set, sup supports) float64 {
 	var kept, total int64
 	for _, it := range domain {
-		w := sup[it]
+		w := sup.of(it)
 		if w == 0 {
 			continue
 		}

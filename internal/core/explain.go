@@ -107,7 +107,7 @@ func BuildExplainFeatures(q CFQ, strat Strategy) (*obs.ExplainReport, *obs.Query
 		Query:    describeQuery(q),
 		Strategy: strat.String(),
 	}
-	sup := itemSupports(q.DB, q.DB.ActiveItems())
+	sup := itemSupports(q.DB)
 
 	side := func(v string, cons []constraint.Constraint, dom itemset.Set) {
 		// Apriori⁺ tests the original conjunction as-is; every other
@@ -192,7 +192,7 @@ func BuildExplainFeatures(q CFQ, strat Strategy) (*obs.ExplainReport, *obs.Query
 
 // buildFeatures assembles the feature vector from the normalized query and
 // the already-computed item supports (no extra scan).
-func buildFeatures(q CFQ, domS, domT itemset.Set, sup map[itemset.Item]int64) *obs.QueryFeatures {
+func buildFeatures(q CFQ, domS, domT itemset.Set, sup supports) *obs.QueryFeatures {
 	f := &obs.QueryFeatures{
 		Transactions:  q.DB.Len(),
 		Items:         q.DB.ActiveItems().Len(),
@@ -207,7 +207,7 @@ func buildFeatures(q CFQ, domS, domT itemset.Set, sup map[itemset.Item]int64) *o
 	l1 := func(dom itemset.Set, minsup int) int {
 		n := 0
 		for _, it := range dom {
-			if sup[it] >= int64(minsup) {
+			if sup.of(it) >= int64(minsup) {
 				n++
 			}
 		}

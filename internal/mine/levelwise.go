@@ -23,6 +23,7 @@ package mine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -204,21 +205,24 @@ func New(ctx context.Context, cfg Config) (*Levelwise, error) {
 			obs.Int("domain", domain.Len())).WithStats(stats.Counters())
 	}
 
-	// Project the database (one accounted scan, checked per batch).
+	// Project the database (one accounted scan, checked per batch). The
+	// rows are windows of one array rather than one allocation each.
 	tx := make([][]int32, 0, cfg.DB.Len())
+	flat := make([]int32, 0, cfg.DB.Size())
 	err := cfg.DB.ScanErr(func(tid int, t itemset.Set) error {
 		if tid%checkBatch == 0 {
 			if err := guard.Check("levelwise: database projection"); err != nil {
 				return err
 			}
 		}
-		var row []int32
+		start := len(flat)
 		for _, it := range t {
 			if int(it) < len(itemToRank) && itemToRank[it] >= 0 {
-				row = append(row, itemToRank[it])
+				flat = append(flat, itemToRank[it])
 			}
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		row := flat[start:len(flat):len(flat)]
+		slices.Sort(row)
 		tx = append(tx, row)
 		return nil
 	})

@@ -29,9 +29,13 @@ type Stats struct {
 	// SetConstraintChecks counts constraint-checking invocations on sets of
 	// size ≥ 2. A ccc-optimal strategy performs none during set computation.
 	SetConstraintChecks int64
-	// PairChecks counts 2-var constraint evaluations during final pair
-	// formation (outside the scope of ccc-optimality, reported for
-	// completeness).
+	// PairChecks counts the per-pair 2-var constraint evaluations final
+	// pair formation actually performs: residual filters over an index's
+	// candidates and scans that materialize answer pairs. Pairs settled by
+	// the keyed join's hash lookups and binary searches cost none, so
+	// PairChecks can be far below |S|·|T| and below PairCount (the
+	// pair-yield ratio PairCount/PairChecks can exceed 1). Outside the
+	// scope of ccc-optimality, reported for completeness.
 	PairChecks int64
 	// FrequentSets and ValidSets count discovered frequent sets and the
 	// subset of them that are valid.

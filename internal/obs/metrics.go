@@ -247,7 +247,13 @@ func Snapshot() map[string]any {
 // The stack's standard metrics. Counter-shaped mine.Stats dimensions are
 // published at the cfq seam when a run completes (PublishStats); db_scans,
 // budget trips and session-cache lookups are published live at the point
-// they happen, so a mid-run scrape sees progress.
+// they happen, so a mid-run scrape sees progress — except
+// session_cache_hits_total, which like Session.CacheStats counts the hits
+// of completed runs only (session_cache_misses_total also counts misses of
+// runs that fail later). pair_checks_total counts
+// the per-pair 2-var constraint evaluations pair formation performed
+// (residual filters and materialization); pairs the keyed join settles by
+// index lookup are not counted.
 var (
 	MQueries        = NewCounter("queries_total")
 	MQueryErrors    = NewCounter("query_errors_total")

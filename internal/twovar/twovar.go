@@ -142,7 +142,45 @@ type Constraint2 interface {
 	Reduce(l1S, l1T itemset.Set) Reduction
 	// String renders the constraint in the paper's notation.
 	String() string
+
+	// Key computes what the constraint reads of a set on the given side,
+	// so pair formation derives it once per set rather than once per
+	// pair.
+	Key(side Side, s itemset.Set) Key
+	// Match evaluates the constraint on two keys:
+	// Satisfies(s, t) == Match(Key(SideS, s), Key(SideT, t)).
+	Match(ks, kt Key) bool
+	// Join reports how pair formation may index the T-side keys, and for
+	// JoinOrdered the comparison Match applies (S-key op T-key).
+	Join() (JoinKind, constraint.Op)
 }
+
+// Key is one set's pair-formation key for a 2-var constraint.
+type Key struct {
+	// Num and OK are an aggregation constraint's aggregate value and
+	// whether it is defined (min, max and avg of ∅ are not). Domain
+	// constraint keys are always OK with Num 0.
+	Num float64
+	OK  bool
+	// Vals is a domain constraint's value set (S.A or T.B).
+	Vals attr.ValueSet
+}
+
+// JoinKind classifies a 2-var constraint for pair formation.
+type JoinKind int
+
+// The join kinds.
+const (
+	// JoinResidual constraints are only evaluated pairwise, with Match.
+	JoinResidual JoinKind = iota
+	// JoinOrdered constraints (agg1(S.A) θ agg2(T.B), θ ∈ {≤ < ≥ >}) hold
+	// on a contiguous run of the T-sets sorted by Key.Num.
+	JoinOrdered
+	// JoinEqual constraints (agg1(S.A) = agg2(T.B), S.A = T.B) hold
+	// exactly when both keys are usable (OK, Num not NaN) and equal,
+	// with -0 equal to +0.
+	JoinEqual
+)
 
 // ---------------------------------------------------------------------------
 // 2-var domain constraints: S.A rel T.B (Figure 2)
@@ -181,8 +219,19 @@ func (d *dom2) String() string {
 }
 
 func (d *dom2) Satisfies(s, t itemset.Set) bool {
-	sa := d.catS.SetOf(s)
-	tb := d.catT.SetOf(t)
+	return d.Match(d.Key(SideS, s), d.Key(SideT, t))
+}
+
+func (d *dom2) Key(side Side, s itemset.Set) Key {
+	cat := d.catS
+	if side == SideT {
+		cat = d.catT
+	}
+	return Key{OK: true, Vals: cat.SetOf(s)}
+}
+
+func (d *dom2) Match(ks, kt Key) bool {
+	sa, tb := ks.Vals, kt.Vals
 	switch d.rel {
 	case constraint.DisjointFrom:
 		return !sa.Intersects(tb)
@@ -198,6 +247,13 @@ func (d *dom2) Satisfies(s, t itemset.Set) bool {
 		return sa.ContainsAll(tb)
 	}
 	panic(fmt.Sprintf("twovar: unknown domain relation %d", int(d.rel)))
+}
+
+func (d *dom2) Join() (JoinKind, constraint.Op) {
+	if d.rel == constraint.EqualTo {
+		return JoinEqual, constraint.EQ
+	}
+	return JoinResidual, constraint.EQ
 }
 
 func (d *dom2) Classify(itemset.Set, itemset.Set) Class2 {
@@ -298,12 +354,30 @@ func (a *agg2) String() string {
 }
 
 func (a *agg2) Satisfies(s, t itemset.Set) bool {
-	v1, ok1 := a.numS.Eval(a.agg1, s)
-	v2, ok2 := a.numT.Eval(a.agg2, t)
-	if !ok1 || !ok2 {
-		return false
+	return a.Match(a.Key(SideS, s), a.Key(SideT, t))
+}
+
+func (a *agg2) Key(side Side, s itemset.Set) Key {
+	num, agg := a.numS, a.agg1
+	if side == SideT {
+		num, agg = a.numT, a.agg2
 	}
-	return a.op.Cmp(v1, v2)
+	v, ok := num.Eval(agg, s)
+	return Key{Num: v, OK: ok}
+}
+
+func (a *agg2) Match(ks, kt Key) bool {
+	return ks.OK && kt.OK && a.op.Cmp(ks.Num, kt.Num)
+}
+
+func (a *agg2) Join() (JoinKind, constraint.Op) {
+	switch a.op {
+	case constraint.EQ:
+		return JoinEqual, a.op
+	case constraint.NE:
+		return JoinResidual, a.op
+	}
+	return JoinOrdered, a.op
 }
 
 // nonDecreasing reports whether growing the set can only keep or raise the

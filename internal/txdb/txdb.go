@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/itemset"
@@ -25,7 +26,11 @@ import (
 type DB struct {
 	tx       []itemset.Set
 	numItems int   // size of the item domain (max item id + 1)
+	size     int   // item occurrences over all transactions
 	scans    int64 // full-scan counter, for I/O accounting
+
+	activeOnce sync.Once
+	active     itemset.Set // ActiveItems, computed once
 }
 
 // New builds a database from the given transactions. Each transaction must
@@ -33,8 +38,9 @@ type DB struct {
 // malformed transaction indicates a programming error upstream. Transactions
 // are not copied; callers must not mutate them afterwards.
 func New(transactions []itemset.Set) *DB {
-	numItems := 0
+	numItems, size := 0, 0
 	for i, t := range transactions {
+		size += t.Len()
 		if !t.Valid() {
 			panic(fmt.Sprintf("txdb.New: transaction %d is not a valid itemset: %v", i, t))
 		}
@@ -42,11 +48,14 @@ func New(transactions []itemset.Set) *DB {
 			numItems = int(t[n-1]) + 1
 		}
 	}
-	return &DB{tx: transactions, numItems: numItems}
+	return &DB{tx: transactions, numItems: numItems, size: size}
 }
 
 // Len returns the number of transactions.
 func (db *DB) Len() int { return len(db.tx) }
+
+// Size returns the number of item occurrences over all transactions.
+func (db *DB) Size() int { return db.size }
 
 // NumItems returns the size of the item domain: one more than the largest
 // item id occurring in any transaction.
@@ -121,21 +130,25 @@ func (db *DB) Restrict(domain itemset.Set) *DB {
 }
 
 // ActiveItems returns the set of items occurring in at least one
-// transaction.
+// transaction. It is computed on first use and shared afterwards; the
+// returned set must not be mutated.
 func (db *DB) ActiveItems() itemset.Set {
-	seen := make([]bool, db.numItems)
-	for _, t := range db.tx {
-		for _, it := range t {
-			seen[it] = true
+	db.activeOnce.Do(func() {
+		seen := make([]bool, db.numItems)
+		for _, t := range db.tx {
+			for _, it := range t {
+				seen[it] = true
+			}
 		}
-	}
-	var items []itemset.Item
-	for i, ok := range seen {
-		if ok {
-			items = append(items, itemset.Item(i))
+		var items []itemset.Item
+		for i, ok := range seen {
+			if ok {
+				items = append(items, itemset.Item(i))
+			}
 		}
-	}
-	return itemset.FromSorted(items)
+		db.active = itemset.FromSorted(items)
+	})
+	return db.active
 }
 
 // WriteText writes the database in the one-transaction-per-line text format

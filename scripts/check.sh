@@ -88,6 +88,9 @@ go test -race -short ./...
 echo "== benchmark smoke (-benchtime=1x) =="
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
 
+echo "== pair-formation fuzz (keyed join vs nested-loop reference, 10s) =="
+go test -run '^$' -fuzz '^FuzzFormPairs$' -fuzztime 10s ./internal/core
+
 echo "== perf-trajectory smoke (cmd/bench -compare) =="
 # One fast workload/strategy pair, measured twice: the second run diffs
 # itself against the first through the -compare gate, exercising the same
