@@ -371,3 +371,57 @@ func TestCardinalityAndDistinctCount(t *testing.T) {
 		}
 	}
 }
+
+// TestDatasetAppend: Append builds the next dataset and leaves the
+// receiver — and queries built on it — answering from the old data; an
+// out-of-domain batch fails whole.
+func TestDatasetAppend(t *testing.T) {
+	ds := marketDataset(t)
+	n := ds.NumTransactions()
+	q := NewQuery(ds).MinSupport(2).Where2(Join(Max, "Price", LE, Min, "Price"))
+	before, err := q.Run(Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := [][]int{{0, 5}, {0, 5}, {0, 5}}
+	next, err := ds.Append(extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.NumTransactions() != n || next.NumTransactions() != n+len(extra) {
+		t.Fatalf("transactions: old %d, next %d", ds.NumTransactions(), next.NumTransactions())
+	}
+	again, err := q.Run(Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orderedPairs(again) != orderedPairs(before) || again.PairCount != before.PairCount {
+		t.Error("Append changed the answer over the original dataset")
+	}
+
+	ref := marketDataset(t)
+	if err := ref.AddTransactions(extra); err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewQuery(ref).MinSupport(2).Where2(Join(Max, "Price", LE, Min, "Price")).Run(Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewQuery(next).MinSupport(2).Where2(Join(Max, "Price", LE, Min, "Price")).Run(Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orderedPairs(got) != orderedPairs(want) || got.PairCount != want.PairCount {
+		t.Errorf("appended dataset answers %d pairs, in-place append %d", got.PairCount, want.PairCount)
+	}
+	if got.PairCount == before.PairCount {
+		t.Error("the batch did not change the answer; the test proves nothing")
+	}
+
+	if _, err := next.Append([][]int{{1}, {99}}); err == nil {
+		t.Error("out-of-domain batch accepted")
+	}
+	if next.NumTransactions() != n+len(extra) {
+		t.Errorf("failed Append changed the receiver: %d transactions", next.NumTransactions())
+	}
+}

@@ -3,6 +3,7 @@ package cfq
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 
@@ -118,19 +119,33 @@ func (d *Dataset) SetCategorical(name string, labels []string) error {
 	return nil
 }
 
-// CheckTransactions validates a batch against the item domain without
-// applying it. A durable registry logs the batch before the in-memory
-// apply, and the validation must happen before the log write — an invalid
-// batch must fail the request, not poison the log.
-func (d *Dataset) CheckTransactions(txs [][]int) error {
-	for i, t := range txs {
-		for _, it := range t {
-			if it < 0 || it >= d.numItems {
-				return fmt.Errorf("cfq: transaction %d item %d outside domain [0, %d)", i, it, d.numItems)
-			}
+// Append returns a new dataset holding d's transactions followed by txs,
+// with d's attributes, already compiled. d itself is unchanged, so queries
+// built on d keep answering from d's snapshot, and an invalid batch (an
+// out-of-domain item) fails without a partial append. A server publishes
+// the returned dataset together with its next generation number, so every
+// answer is labelled with the generation of the data it read.
+func (d *Dataset) Append(txs [][]int) (next *Dataset, err error) {
+	defer recoverToError(&err)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.compileLocked(); err != nil {
+		return nil, err
+	}
+	next = &Dataset{
+		numItems:    d.numItems,
+		txs:         d.txs[:len(d.txs):len(d.txs)], // appends copy, never write into d's array
+		numeric:     maps.Clone(d.numeric),
+		categorical: maps.Clone(d.categorical),
+		attrs:       d.attrs, // immutable once compiled; the batch adds no attributes
+	}
+	for _, t := range txs {
+		if err := next.addTransactionLocked(t); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	next.db, next.dirty = txdb.New(next.txs), false
+	return next, nil
 }
 
 // ExportState returns copies of the dataset's transactions and attribute

@@ -50,6 +50,7 @@ type Session struct {
 	bytes    int64  // estimated bytes across all cached lattices
 	maxBytes int64  // 0 = unbounded
 	seq      uint64 // LRU clock: bumped on every lookup/store
+	closed   bool   // Close ran: the cache stays empty
 
 	// Lookup/eviction counters, guarded by mu.
 	hits, misses, evictions int
@@ -77,6 +78,20 @@ func (s *Session) SetCacheLimit(maxBytes int64) {
 	defer s.mu.Unlock()
 	s.maxBytes = maxBytes
 	s.evictLocked()
+}
+
+// Close empties the cache and keeps it empty: runs still in flight, and
+// any later ones, complete normally but store nothing. It releases the
+// cached lattices' bytes from the session_cache_bytes gauge, which is what
+// a server needs when it retires a session (its dataset was replaced by a
+// newer generation, or dropped). CacheStats keeps reporting the counters.
+func (s *Session) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	s.cache = map[string]*latticeEntry{}
+	obs.MCacheBytes.Add(-s.bytes)
+	s.bytes = 0
 }
 
 // CacheStats describes the session's lattice cache: lookup counters (one
@@ -272,8 +287,8 @@ func (s *Session) side(ctx context.Context, label string, db *txdb.DB, domain it
 	// Keep the lowest-threshold lattice: it can serve every refinement.
 	// Store only while the cache still describes the snapshot we mined —
 	// a concurrent mutation flips s.db and this (now stale) lattice must
-	// not survive the flip.
-	if s.db == db {
+	// not survive the flip. A closed session stores nothing.
+	if s.db == db && !s.closed {
 		if old := s.cache[key]; old == nil || minSup < old.minSup {
 			if old != nil {
 				s.bytes -= old.bytes

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestSessionMatchesDirectRun(t *testing.T) {
@@ -253,5 +255,42 @@ func TestSessionCancelledInPairFormation(t *testing.T) {
 	}
 	if after := sess.CacheStats(); after != before {
 		t.Errorf("cancelled run changed CacheStats: %+v -> %+v", before, after)
+	}
+}
+
+// TestSessionClose: a closed session releases its cached bytes from the
+// session_cache_bytes gauge, stays empty, and still answers correctly.
+func TestSessionClose(t *testing.T) {
+	ds := marketDataset(t)
+	sess := NewSession(ds)
+	q := NewQuery(ds).MinSupport(2).Where2(Join(Max, "Price", LE, Min, "Price"))
+	before := obs.MCacheBytes.Value()
+	if _, err := sess.Run(q); err != nil {
+		t.Fatal(err)
+	}
+	cached := sess.CacheStats().Bytes
+	if cached == 0 || obs.MCacheBytes.Value()-before != cached {
+		t.Fatalf("cache holds %d bytes, gauge moved %d", cached, obs.MCacheBytes.Value()-before)
+	}
+	sess.Close()
+	if cs := sess.CacheStats(); cs.Entries != 0 || cs.Bytes != 0 {
+		t.Errorf("closed session still caches: %+v", cs)
+	}
+	if got := obs.MCacheBytes.Value() - before; got != 0 {
+		t.Errorf("gauge holds %d bytes after Close", got)
+	}
+	res, err := sess.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := q.Run(Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orderedPairs(res) != orderedPairs(direct) || res.PairCount != direct.PairCount {
+		t.Error("closed session answers differently from a direct run")
+	}
+	if cs := sess.CacheStats(); cs.Entries != 0 || obs.MCacheBytes.Value() != before {
+		t.Errorf("closed session stored a lattice: %+v", cs)
 	}
 }

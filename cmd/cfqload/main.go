@@ -283,7 +283,7 @@ func compareAnswers(hc *http.Client, pol retryPolicy, baseA, baseB string, req s
 		if err := json.Unmarshal(body, &resp); err != nil {
 			return nil, fmt.Errorf("%s: %w", base, err)
 		}
-		var res cfq.Result
+		var res serve.QueryResult
 		if err := json.Unmarshal(resp.Result, &res); err != nil {
 			return nil, fmt.Errorf("%s: %w", base, err)
 		}

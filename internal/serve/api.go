@@ -1,14 +1,15 @@
 // Package serve is the HTTP/JSON query service over the cfq engine: a
-// dataset registry (one shared cfq.Session per dataset, so the
+// dataset registry (one shared cfq.Session per dataset generation, so the
 // unconstrained-lattice cache is amortized across all clients), a bounded
 // worker pool with an admission queue, per-request budgets and deadlines
 // clamped by server maxima, and a normalized-query result cache above the
 // session cache.
 //
-// The wire contract mirrors the engine's observability contract: responses
-// carry "schema": 1 (obs.ReportSchema) and embed the same Result /
-// ExplainReport / RunReport JSON the cmd/cfq CLI emits, so a client of the
-// CLI parses daemon responses with the same code.
+// The wire contract: responses carry "schema": 2 envelopes. The query
+// endpoints return a bounded result document (QueryResult: the answer pairs
+// up to max_pairs, the pair count and per-level valid-set counts) and embed
+// the same ExplainReport / RunReport JSON the cmd/cfq CLI emits, so a
+// client of the CLI parses those with the same code.
 package serve
 
 import (
@@ -22,10 +23,51 @@ import (
 	"repro/internal/obs/workload"
 )
 
-// SchemaVersion is the wire version of every response envelope. It tracks
-// obs.ReportSchema: the embedded Result / ExplainReport documents are the
-// versioned payloads, and the envelope does not revise independently.
-const SchemaVersion = obs.ReportSchema
+// SchemaVersion is the wire version of every response envelope. It is
+// independent of obs.ReportSchema: the envelope's result document
+// (QueryResult) is a wire-only format that revises on its own — version 2
+// introduced it in place of the whole cfq.Result — while the ExplainReport
+// and RunReport documents, shared with the CLI, keep their own version.
+const SchemaVersion = 2
+
+// QueryResult is the result document of /v1/query and /v1/explain-analyze.
+// Its size follows what the request asked for: at most max_pairs pairs and
+// one count per lattice level, never the per-side valid-set lists (which
+// grow with the lattice, not the answer). Pairs, PairCount, Stats and Plan
+// are spelled and encoded as in cfq.Result, and no other field matches a
+// cfq.Result field name even ignoring case, so a version-1 client decoding
+// into cfq.Result still gets the answer (and nil set lists).
+type QueryResult struct {
+	// Pairs is the answer, truncated to max_pairs; PairCount is the true
+	// number of valid pairs.
+	Pairs     []cfq.Pair
+	PairCount int64
+	// LevelCountsS[k] is the number of valid S-sets with k+1 items
+	// (len(cfq.Result.LevelsS[k])); LevelCountsT likewise for T.
+	LevelCountsS, LevelCountsT []int
+	Stats                      cfq.Stats
+	Plan                       string
+}
+
+// newQueryResult builds the wire document of an evaluation.
+func newQueryResult(res *cfq.Result) *QueryResult {
+	return &QueryResult{
+		Pairs:        res.Pairs,
+		PairCount:    res.PairCount,
+		LevelCountsS: levelCounts(res.LevelsS),
+		LevelCountsT: levelCounts(res.LevelsT),
+		Stats:        res.Stats,
+		Plan:         res.Plan,
+	}
+}
+
+func levelCounts(levels [][]cfq.FrequentSet) []int {
+	counts := make([]int, len(levels))
+	for k, lv := range levels {
+		counts[k] = len(lv)
+	}
+	return counts
+}
 
 // QueryRequest is the body of POST /v1/query, /v1/explain and
 // /v1/explain-analyze. Query carries the textual CFQ language of
@@ -85,7 +127,7 @@ type BudgetSpec struct {
 }
 
 // QueryResponse is the success envelope of the three query endpoints.
-// Result and Explain are raw cfq.Result / cfq.ExplainReport documents
+// Result is a QueryResult document and Explain a raw cfq.ExplainReport
 // (exactly what cmd/cfq emits on stdout); which of them is present depends
 // on the endpoint.
 type QueryResponse struct {
@@ -217,7 +259,9 @@ type DatasetInfo struct {
 	Generation   uint64   `json:"generation"`
 	Numeric      []string `json:"numeric,omitempty"`
 	Categorical  []string `json:"categorical,omitempty"`
-	// Session is the shared session's lattice-cache state.
+	// Session is the lattice-cache state of the current generation's
+	// shared session; a mutation starts a new session, so its counters
+	// restart.
 	Session cfq.CacheStats `json:"session"`
 }
 

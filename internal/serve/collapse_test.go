@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/cfq"
 	"repro/internal/obs"
 )
 
@@ -93,7 +92,7 @@ func TestRequestCollapsing(t *testing.T) {
 	// Every reply: a 200 with the correct answer and correlation headers;
 	// exactly one evaluated fresh (the leader), the rest were collapsed or
 	// served from the cache the leader populated.
-	want := directAnswer(t, readmeQueryText, 2, nil)
+	want := directResult(t, req, nil)
 	fresh := 0
 	for r := range replies {
 		if r.status != http.StatusOK {
@@ -105,7 +104,7 @@ func TestRequestCollapsing(t *testing.T) {
 		if !r.resp.Collapsed && !r.resp.Cached {
 			fresh++
 		}
-		var res cfq.Result
+		var res QueryResult
 		if err := json.Unmarshal(r.resp.Result, &res); err != nil {
 			t.Fatal(err)
 		}
@@ -116,32 +115,6 @@ func TestRequestCollapsing(t *testing.T) {
 	if fresh != 1 {
 		t.Errorf("%d fresh evaluations in the storm, want exactly 1 leader", fresh)
 	}
-}
-
-// directAnswer runs the query on a reference copy of the market dataset
-// (with optional extra transactions) straight through the engine.
-func directAnswer(t *testing.T, query string, minSup int, extra [][]int) *cfq.Result {
-	t.Helper()
-	ds := marketDataset(t)
-	if len(extra) > 0 {
-		if err := ds.AddTransactions(extra); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q, err := cfq.ParseQuery(ds, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if minSup > 0 {
-		def := cfq.NewQuery(ds)
-		def.MinSupport(minSup)
-		q.ApplyDefaultSupports(def)
-	}
-	res, err := q.MaxPairs(20).Run(cfq.Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 // TestCollapseGenerationIsolation: the flight key carries the dataset
@@ -216,8 +189,8 @@ func TestCollapseGenerationIsolation(t *testing.T) {
 	if r3.resp.Collapsed {
 		t.Error("post-mutation request was collapsed into the stale flight")
 	}
-	want := directAnswer(t, readmeQueryText, 2, extra)
-	var res cfq.Result
+	want := directResult(t, req, extra)
+	var res QueryResult
 	if err := json.Unmarshal(r3.resp.Result, &res); err != nil {
 		t.Fatal(err)
 	}

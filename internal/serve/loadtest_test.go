@@ -221,7 +221,7 @@ func TestServerLoadSoak(t *testing.T) {
 			if err := json.Unmarshal(body, &resp); err != nil {
 				t.Fatal(err)
 			}
-			var res cfq.Result
+			var res QueryResult
 			if err := json.Unmarshal(resp.Result, &res); err != nil {
 				t.Fatal(err)
 			}

@@ -45,13 +45,13 @@ func calibrateServeOps(t *testing.T) int64 {
 	return ops
 }
 
-// canonicalAnswer strips the run-dependent execution stats from a Result
-// document and re-marshals it: the answer (pairs, valid sets, levels,
-// counts) must be byte-identical across servers, while DBScans or lattice
-// bytes legitimately vary with each server's session-cache history.
+// canonicalAnswer strips the run-dependent execution stats from a result
+// document and re-marshals it: the answer (pairs, pair count, per-level
+// set counts) must be byte-identical across servers, while DBScans or
+// lattice bytes legitimately vary with each server's session-cache history.
 func canonicalAnswer(t *testing.T, raw json.RawMessage) []byte {
 	t.Helper()
-	var res cfq.Result
+	var res QueryResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestOverloadChaosSoak(t *testing.T) {
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
-	var res cfq.Result
+	var res QueryResult
 	var report cfq.ExplainReport
 	if err := json.Unmarshal(qr.Result, &res); err != nil {
 		t.Fatal(err)

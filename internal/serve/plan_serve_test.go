@@ -97,7 +97,7 @@ func TestPrepareRoundTrip(t *testing.T) {
 	if resp.Dataset != "market" {
 		t.Errorf("dataset %q, want market", resp.Dataset)
 	}
-	var res cfq.Result
+	var res QueryResult
 	if err := json.Unmarshal(resp.Result, &res); err != nil {
 		t.Fatalf("result payload: %v", err)
 	}
@@ -292,10 +292,10 @@ func TestAutoPlanCacheSkipsPlanning(t *testing.T) {
 		t.Fatalf("session query: status %d: %s", status, body)
 	}
 	sess := queryResp(t, body)
-	var a, b, c cfq.Result
+	var a, b, c QueryResult
 	for _, pair := range []struct {
 		raw json.RawMessage
-		out *cfq.Result
+		out *QueryResult
 	}{{first.Result, &a}, {second.Result, &b}, {sess.Result, &c}} {
 		if err := json.Unmarshal(pair.raw, pair.out); err != nil {
 			t.Fatal(err)

@@ -32,6 +32,13 @@ var (
 // cache's staleness token: cached results are keyed by it, and a handler
 // stores a result only if the generation it read before evaluating is still
 // current afterwards.
+//
+// A generation is immutable: a mutation builds the next cfq.Dataset (and a
+// fresh session for it) beside the current one and publishes dataset,
+// session and generation number together, under one lock. Lookup hands out
+// that triple, so a query answers from exactly the generation it reports,
+// however long it waits before evaluating and whatever mutations land
+// meanwhile.
 // When a durable store is attached (SetStore), every create, append, and
 // drop is written to the write-ahead log — and fsynced per the store's
 // policy — *before* the in-memory registry changes and the request is
@@ -50,10 +57,12 @@ type regEntry struct {
 	// so the durable log and the in-memory dataset advance in the same
 	// order and a drop cannot interleave with a half-applied append.
 	mu      sync.Mutex
-	ds      *cfq.Dataset
-	sess    *cfq.Session
-	gen     uint64
 	dropped bool
+	// The published generation: written under both mu and Registry.mu,
+	// read under either.
+	ds   *cfq.Dataset
+	sess *cfq.Session
+	gen  uint64
 }
 
 // NewRegistry creates an empty registry. sessionCacheBytes bounds each
@@ -93,17 +102,23 @@ func (r *Registry) Adopt(name string, meta store.Meta, db *txdb.DB, generation u
 	if err := ds.Compile(); err != nil {
 		return err
 	}
-	sess := cfq.NewSession(ds)
-	if r.sessionCacheBytes > 0 {
-		sess.SetCacheLimit(r.sessionCacheBytes)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.entries[name]; dup {
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	r.entries[name] = &regEntry{ds: ds, sess: sess, gen: generation}
+	r.entries[name] = &regEntry{ds: ds, sess: r.newSessionLocked(ds), gen: generation}
 	return nil
+}
+
+// newSessionLocked starts a session over ds under the current cache bound.
+// Callers hold r.mu.
+func (r *Registry) newSessionLocked(ds *cfq.Dataset) *cfq.Session {
+	sess := cfq.NewSession(ds)
+	if r.sessionCacheBytes > 0 {
+		sess.SetCacheLimit(r.sessionCacheBytes)
+	}
+	return sess
 }
 
 // SetSessionCacheLimit retunes every live session's lattice-cache bound
@@ -126,8 +141,9 @@ func (r *Registry) SetSessionCacheLimit(bytes int64) {
 	}
 }
 
-// Lookup returns a dataset's handle: the dataset, its shared session, and
-// the generation current at the time of the call.
+// Lookup returns a dataset's current generation: its dataset, shared
+// session and generation number. The dataset never changes afterwards, so
+// whatever is evaluated against it answers for that generation.
 func (r *Registry) Lookup(name string) (*cfq.Dataset, *cfq.Session, uint64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -185,25 +201,24 @@ func (r *Registry) Create(spec *DatasetSpec) (DatasetInfo, error) {
 			return DatasetInfo{}, err
 		}
 	}
-	sess := cfq.NewSession(ds)
-	if r.sessionCacheBytes > 0 {
-		sess.SetCacheLimit(r.sessionCacheBytes)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.entries[spec.Name]; dup {
 		return DatasetInfo{}, fmt.Errorf("%w: %q", ErrExists, spec.Name)
 	}
-	e := &regEntry{ds: ds, sess: sess, gen: 1}
+	e := &regEntry{ds: ds, sess: r.newSessionLocked(ds), gen: 1}
 	r.entries[spec.Name] = e
 	return infoOf(spec.Name, e), nil
 }
 
-// Mutate appends transactions to a dataset, recompiles it, and bumps its
-// generation — durable-first: the batch is validated, written to the WAL
-// (the ack point under the store's fsync policy), and only then applied in
-// memory. The caller invalidates result-cache entries for the dataset; the
-// session cache invalidates itself via the compiled-snapshot identity.
+// Mutate appends transactions to a dataset and publishes the result as its
+// next generation — durable-first: the next dataset is built (which
+// validates the batch), the batch is written to the WAL (the ack point
+// under the store's fsync policy), and only then are the new dataset, a
+// fresh session for it and the new generation number published together.
+// Queries that looked up the previous generation finish on it; its
+// session is closed, releasing its cache. The caller invalidates
+// result-cache entries for the dataset.
 func (r *Registry) Mutate(name string, txs [][]int) (DatasetInfo, error) {
 	r.mu.RLock()
 	e := r.entries[name]
@@ -217,9 +232,10 @@ func (r *Registry) Mutate(name string, txs [][]int) (DatasetInfo, error) {
 	if e.dropped {
 		return DatasetInfo{}, fmt.Errorf("%w: %q", ErrDropped, name)
 	}
-	// Validate before the WAL write: an invalid batch must fail the request
+	// Build before the WAL write: an invalid batch must fail the request
 	// without leaving a record behind.
-	if err := e.ds.CheckTransactions(txs); err != nil {
+	next, err := e.ds.Append(txs)
+	if err != nil {
 		return DatasetInfo{}, err
 	}
 	var storeGen uint64
@@ -236,18 +252,9 @@ func (r *Registry) Mutate(name string, txs [][]int) (DatasetInfo, error) {
 			return DatasetInfo{}, err
 		}
 	}
-	if err := e.ds.AddTransactions(txs); err != nil {
-		// Validated above, so this is an internal invariant violation. The
-		// durable log is now ahead of memory; the next restart replays it.
-		return DatasetInfo{}, err
-	}
-	// Recompile now: the snapshot flips atomically here, not on some later
-	// query's first touch, so "mutation acknowledged" means "subsequent
-	// queries see the new data".
-	if err := e.ds.Compile(); err != nil {
-		return DatasetInfo{}, err
-	}
 	r.mu.Lock()
+	old := e.sess
+	e.ds, e.sess = next, r.newSessionLocked(next)
 	if st != nil {
 		e.gen = storeGen
 	} else {
@@ -255,13 +262,13 @@ func (r *Registry) Mutate(name string, txs [][]int) (DatasetInfo, error) {
 	}
 	info := infoOf(name, e)
 	r.mu.Unlock()
+	old.Close()
 	return info, nil
 }
 
 // Drop removes a dataset: the drop record is durable before the entry
 // disappears. In-flight queries against its session finish against the
-// snapshot they captured — the entry's dataset and session stay valid for
-// anyone who looked them up before the drop.
+// generation they looked up; the session is closed, releasing its cache.
 func (r *Registry) Drop(name string) error {
 	r.mu.RLock()
 	e := r.entries[name]
@@ -287,7 +294,9 @@ func (r *Registry) Drop(name string) error {
 	if cur := r.entries[name]; cur == e {
 		delete(r.entries, name)
 	}
+	sess := e.sess
 	r.mu.Unlock()
+	sess.Close()
 	return nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/cfq"
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -151,7 +152,7 @@ func TestQueryRoundTrip(t *testing.T) {
 	if resp.Strategy != "session" {
 		t.Errorf("strategy %q, want session", resp.Strategy)
 	}
-	var res cfq.Result
+	var res QueryResult
 	if err := json.Unmarshal(resp.Result, &res); err != nil {
 		t.Fatalf("result payload: %v", err)
 	}
@@ -267,8 +268,8 @@ func TestTraceReport(t *testing.T) {
 		if resp.Report == nil {
 			t.Fatal("trace=true returned no report")
 		}
-		if resp.Report.Schema != SchemaVersion {
-			t.Errorf("report schema %d", resp.Report.Schema)
+		if resp.Report.Schema != obs.ReportSchema {
+			t.Errorf("report schema %d, want %d", resp.Report.Schema, obs.ReportSchema)
 		}
 		var names []string
 		for _, sp := range resp.Report.Root.Children {
@@ -379,7 +380,7 @@ func TestMutationInvalidates(t *testing.T) {
 	}
 	// The new answer reflects the appended transactions: item sets {0},{3}
 	// gained support, so the pair count can only grow.
-	var before, after cfq.Result
+	var before, after QueryResult
 	if err := json.Unmarshal(first.Result, &before); err != nil {
 		t.Fatal(err)
 	}

@@ -373,7 +373,7 @@ func (s *Server) OpsHandler() http.Handler {
 // handleStatz renders the operator rollup: rolling p50/p95/p99, error and
 // shed rates per endpoint and per dataset; explicit request-duration bucket
 // boundaries and counts (the transparent form of the Prometheus
-// histograms, under the same "schema": 1 contract as the API envelopes);
+// histograms, under the same "schema" version as the API envelopes);
 // cache and store health. Everything here is derived from the same
 // registry /metrics scrapes, so the two surfaces cannot disagree.
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
@@ -965,11 +965,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 			res, evalErr = sess.RunContext(ctx, q)
 		}
 		if evalErr == nil {
-			// The span tree is delivered once, in the envelope's report
-			// field, not embedded in the result document too.
-			res.Report = nil
+			// Encoded once: these bytes are the response, the cache entry
+			// and every collapsed follower's answer. The span tree is
+			// delivered in the envelope's report field, not here.
 			sc.pruned = res.Stats.CandidatesPruned
-			result, evalErr = json.Marshal(res)
+			result, evalErr = json.Marshal(newQueryResult(res))
 		}
 	case kindExplain:
 		var rep *cfq.ExplainReport
@@ -990,9 +990,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 			res, rep, evalErr = q.ExplainAnalyzeContext(ctx, strat)
 		}
 		if evalErr == nil {
-			res.Report = nil
 			sc.pruned = res.Stats.CandidatesPruned
-			if result, evalErr = json.Marshal(res); evalErr == nil {
+			if result, evalErr = json.Marshal(newQueryResult(res)); evalErr == nil {
 				explain, evalErr = json.Marshal(rep)
 			}
 		}

@@ -145,6 +145,20 @@ if ! grep -q 'status 200' "$check_tmp/load.out"; then
   exit 1
 fi
 
+# The result document is bounded by max_pairs: a query with many valid
+# pairs asked for one returns at most one pair, the true PairCount, and no
+# per-side valid-set lists.
+bounded="$(curl -fsS "http://$(cat "$check_tmp/addr")/v1/query" \
+  -d '{"dataset":"load","query":"{(S,T) | freq(S) & freq(T)}","min_support":20,"max_pairs":1}')"
+if [[ "$(grep -o '"S":{' <<< "$bounded" | wc -l)" -gt 1 ]] \
+    || ! grep -qE '"PairCount":([2-9]|[1-9][0-9]+)' <<< "$bounded" \
+    || ! grep -q '"schema":2' <<< "$bounded" \
+    || grep -q '"ValidS"' <<< "$bounded"; then
+  echo "check.sh: max_pairs 1 did not bound the result document" >&2
+  echo "$bounded" >&2
+  exit 1
+fi
+
 kill -9 "$cfqd_pid"
 wait "$cfqd_pid" 2> /dev/null || true
 start_cfqd
