@@ -53,13 +53,6 @@ func PruningFromContext(ctx context.Context) *PruneSet {
 // strategy without running it.
 func (q *Query) ExplainQuery(strat Strategy) (rep *ExplainReport, err error) {
 	defer recoverToError(&err)
-	if strat == Auto {
-		p, err := q.Prepare(Auto)
-		if err != nil {
-			return nil, err
-		}
-		return p.Explain()
-	}
 	icfq, err := q.compile()
 	if err != nil {
 		return nil, err
@@ -78,12 +71,6 @@ type QueryFeatures = obs.QueryFeatures
 // generation yields everything the journal records besides run actuals.
 func (q *Query) ProfileQuery(strat Strategy) (rep *ExplainReport, feats *QueryFeatures, err error) {
 	defer recoverToError(&err)
-	// The profile is strategy-independent (class and features come from the
-	// constraint classification and the support scan), so auto profiles on
-	// the default strategy's plan without invoking the planner.
-	if strat == Auto {
-		strat = Optimized
-	}
 	icfq, err := q.compile()
 	if err != nil {
 		return nil, nil, err
@@ -103,13 +90,6 @@ func (q *Query) ExplainAnalyze(strat Strategy) (*Result, *ExplainReport, error) 
 // tracing behave exactly as in RunContext.
 func (q *Query) ExplainAnalyzeContext(ctx context.Context, strat Strategy) (res *Result, rep *ExplainReport, err error) {
 	defer recoverToError(&err)
-	if strat == Auto {
-		p, err := q.PrepareContext(ctx, Auto)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p.ExplainAnalyzeContext(ctx)
-	}
 	icfq, err := q.compile()
 	if err != nil {
 		return nil, nil, err
@@ -147,17 +127,6 @@ func (q *Query) ExplainAnalyzeContext(ctx context.Context, strat Strategy) (res 
 // landing in OtherPruned.
 func (q *Query) AnalyzeCapture(strat Strategy, prune *PruneSet, pruned int64) (rep *ExplainReport, err error) {
 	defer recoverToError(&err)
-	if strat == Auto {
-		p, err := q.Prepare(Auto)
-		if err != nil {
-			return nil, err
-		}
-		if rep, err = p.Explain(); err != nil {
-			return nil, err
-		}
-		core.AnalyzeCapture(rep, pruned, prune)
-		return rep, nil
-	}
 	icfq, err := q.compile()
 	if err != nil {
 		return nil, err

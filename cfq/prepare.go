@@ -6,108 +6,46 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mine"
 	"repro/internal/obs"
-	"repro/internal/obs/workload"
-	"repro/internal/plan"
 )
 
-// defaultPlanner serves Prepare and every strategy-auto entry point that
-// does not supply its own planner. Hosting processes with a feedback loop
-// (the server) pass their own planner through PrepareWith instead.
-var defaultPlanner = plan.New(plan.Options{})
-
-// DefaultPlanner returns the process-wide planner Prepare uses when no
-// planner is supplied. Folding workload feedback into it improves every
-// subsequent auto-strategy query in the process.
-func DefaultPlanner() *plan.Planner { return defaultPlanner }
-
-// Prepared is a compiled, planned query — the Prepare half of the
-// Parse → Prepare → Execute split. It captures the dataset snapshot and the
-// planner's decision once; each Run replays the executable plan without
-// re-classifying constraints or re-costing strategies, which is what makes
-// prepared handles (and the server's plan cache) cheap to re-execute.
+// Prepared is a compiled query bound to one strategy — the Prepare half of
+// the Parse → Prepare → Execute split. It captures the dataset snapshot
+// once; each Run replays the compiled query without re-resolving attributes
+// or re-classifying constraints, which is what makes prepared handles (and
+// the server's plan cache) cheap to re-execute.
 //
 // A Prepared always answers over the snapshot captured at Prepare time: a
 // dataset mutated afterwards does not change the answer. Holders that must
 // never serve stale answers (the server's prepared-handle path) detect the
 // generation change themselves and re-prepare.
 type Prepared struct {
-	q        *Query
-	sess     *Session
-	icfq     core.CFQ
-	strat    Strategy
-	decision *plan.Decision
+	q     *Query
+	sess  *Session
+	icfq  core.CFQ
+	strat Strategy
 }
 
-// Prepare compiles and plans the query. It is
-// PrepareContext(context.Background(), strat).
+// Prepare compiles the query. It is PrepareContext(context.Background(),
+// strat).
 func (q *Query) Prepare(strat Strategy) (*Prepared, error) {
 	return q.PrepareContext(context.Background(), strat)
 }
 
-// PrepareContext compiles and plans the query using the process-wide
-// DefaultPlanner.
-func (q *Query) PrepareContext(ctx context.Context, strat Strategy) (*Prepared, error) {
-	return q.PrepareWith(ctx, nil, strat)
-}
-
-// PrepareWith compiles and plans the query with an explicit planner (nil
-// uses DefaultPlanner). With strategy Auto the query is profiled (one
-// database scan for item supports), the planner costs every strategy, and
-// the decision — strategy, Jmax cutoff, miner — is baked into the prepared
-// plan; when ctx carries a Tracer a "plan:decide" span records the choice.
-// Any other strategy skips planning entirely and prepares that strategy
-// as-is, so Prepare never costs more than the caller asked for.
-func (q *Query) PrepareWith(ctx context.Context, pl *plan.Planner, strat Strategy) (p *Prepared, err error) {
+// PrepareContext compiles the query for the given strategy. Compilation
+// does no database work; ctx is accepted for symmetry with RunContext.
+func (q *Query) PrepareContext(ctx context.Context, strat Strategy) (p *Prepared, err error) {
 	defer recoverToError(&err)
 	icfq, err := q.compile()
 	if err != nil {
 		return nil, err
 	}
-	p = &Prepared{q: q, icfq: icfq, strat: strat}
-	if strat != Auto {
-		return p, nil
-	}
-	if pl == nil {
-		pl = defaultPlanner
-	}
-	tracer := obs.FromContext(ctx)
-	var sp *obs.Span
-	if tracer != nil {
-		sp = tracer.Start("plan:decide")
-	}
-	// Profile off one support scan: the report yields the workload class,
-	// the feature vector feeds the cost model. A profiling failure is not
-	// fatal — Decide degrades to the fallback strategy, never an error.
-	var class string
-	rep, feats, ferr := core.BuildExplainFeatures(icfq, Optimized.internal())
-	if ferr != nil {
-		feats = nil
-	} else {
-		class = workload.ClassKey(rep)
-	}
-	d := pl.Decide(feats, class)
-	resolved, perr := ParseStrategy(d.Strategy)
-	if perr != nil || resolved == Auto {
-		resolved = Optimized
-	}
-	p.strat = resolved
-	p.decision = d
-	p.icfq.JmaxCutoff = d.JmaxCutoff
-	if m, merr := mine.ParseMiner(d.Miner); merr == nil {
-		p.icfq.Miner = m
-	}
-	if sp != nil {
-		sp.SetAttrs(obs.String("strategy", d.Strategy), obs.String("source", d.Source))
-		sp.End(nil)
-	}
-	return p, nil
+	return &Prepared{q: q, icfq: icfq, strat: strat}, nil
 }
 
 // Prepare binds the query to the session's cached-lattice execution path.
-// Session plans carry no planner decision: results are identical to any
-// engine strategy, only the work differs (see Session).
+// Results are identical to any engine strategy, only the work differs (see
+// Session).
 func (s *Session) Prepare(q *Query) (*Prepared, error) {
 	if q == nil || q.ds != s.ds {
 		return nil, fmt.Errorf("cfq: session and query use different datasets")
@@ -119,12 +57,8 @@ func (s *Session) Prepare(q *Query) (*Prepared, error) {
 	return &Prepared{q: q, sess: s, icfq: icfq, strat: Optimized}, nil
 }
 
-// Strategy returns the concrete strategy the plan executes (never Auto).
+// Strategy returns the strategy the plan executes.
 func (p *Prepared) Strategy() Strategy { return p.strat }
-
-// Decision returns the planner's decision, or nil when the strategy was
-// fixed by the caller or the plan runs through a Session.
-func (p *Prepared) Decision() *plan.Decision { return p.decision }
 
 // Run executes the prepared plan. It is RunContext(context.Background()).
 func (p *Prepared) Run() (*Result, error) {
@@ -133,8 +67,8 @@ func (p *Prepared) Run() (*Result, error) {
 
 // RunContext executes the prepared plan under ctx. Each call starts a
 // fresh Budget pool; cancellation, budget, and tracing semantics match
-// Query.RunContext. No classification or planning happens here — the plan
-// was fixed at Prepare time.
+// Query.RunContext. No compilation happens here — the plan was fixed at
+// Prepare time.
 func (p *Prepared) RunContext(ctx context.Context) (res *Result, err error) {
 	defer recoverToError(&err)
 	if p.sess != nil {
@@ -154,17 +88,10 @@ func (p *Prepared) RunContext(ctx context.Context) (res *Result, err error) {
 	return res, nil
 }
 
-// Explain renders the prepared plan's EXPLAIN report; plans chosen by the
-// planner carry the decision (chosen strategy, costed alternatives) in the
-// report's planner node.
+// Explain renders the prepared plan's EXPLAIN report.
 func (p *Prepared) Explain() (rep *ExplainReport, err error) {
 	defer recoverToError(&err)
-	rep, err = core.BuildExplain(p.icfq, p.strat.internal())
-	if err != nil {
-		return nil, err
-	}
-	p.attachChoice(rep)
-	return rep, nil
+	return core.BuildExplain(p.icfq, p.strat.internal())
 }
 
 // ExplainAnalyzeContext executes the prepared plan and annotates the
@@ -194,14 +121,7 @@ func (p *Prepared) ExplainAnalyzeContext(ctx context.Context) (res *Result, rep 
 	}
 	publishRun(time.Since(start), &ires.Stats, nil)
 	core.AnalyzeExplain(rep, ires, prune)
-	p.attachChoice(rep)
 	res = convertResult(ires)
 	res.Report = obs.FromContext(ctx).Report()
 	return res, rep, nil
-}
-
-func (p *Prepared) attachChoice(rep *ExplainReport) {
-	if p.decision != nil && rep.Planner == nil {
-		rep.Planner = p.decision.Choice()
-	}
 }

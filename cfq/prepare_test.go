@@ -2,6 +2,7 @@ package cfq
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -12,8 +13,8 @@ func autoQuery(ds *Dataset) *Query {
 		Where2(Join(Max, "Price", LE, Min, "Price"))
 }
 
-// TestAutoMatchesOptimized: strategy auto answers exactly what every fixed
-// strategy answers — the planner only picks how to compute, never what.
+// TestAutoMatchesOptimized: strategy auto, the alias of optimized, answers
+// exactly what optimized answers.
 func TestAutoMatchesOptimized(t *testing.T) {
 	ds := marketDataset(t)
 	want, err := autoQuery(ds).Run(Optimized)
@@ -33,26 +34,16 @@ func TestAutoMatchesOptimized(t *testing.T) {
 	}
 }
 
-// TestPreparedReuse: one Prepare, many Runs — the decision is made once and
-// every execution replays it with identical answers.
+// TestPreparedReuse: one Prepare, many Runs — the query is compiled once
+// and every execution replays it with identical answers.
 func TestPreparedReuse(t *testing.T) {
 	ds := marketDataset(t)
 	p, err := autoQuery(ds).Prepare(Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Strategy() == Auto {
-		t.Fatal("prepared strategy was not resolved")
-	}
-	d := p.Decision()
-	if d == nil {
-		t.Fatal("auto-prepared query has no decision")
-	}
-	if d.Schema != 1 {
-		t.Fatalf("decision schema = %d, want 1", d.Schema)
-	}
-	if got := p.Strategy().String(); got != d.Strategy {
-		t.Fatalf("prepared strategy %q != decision strategy %q", got, d.Strategy)
+	if p.Strategy() != Optimized {
+		t.Fatalf("auto prepared as %v, want optimized", p.Strategy())
 	}
 	first, err := p.Run()
 	if err != nil {
@@ -68,7 +59,8 @@ func TestPreparedReuse(t *testing.T) {
 	}
 }
 
-// TestPreparedFixedStrategy: preparing a concrete strategy skips planning.
+// TestPreparedFixedStrategy: a prepared plan runs the strategy it was
+// prepared with.
 func TestPreparedFixedStrategy(t *testing.T) {
 	ds := marketDataset(t)
 	p, err := autoQuery(ds).Prepare(Sequential)
@@ -77,9 +69,6 @@ func TestPreparedFixedStrategy(t *testing.T) {
 	}
 	if p.Strategy() != Sequential {
 		t.Fatalf("strategy = %v, want sequential", p.Strategy())
-	}
-	if p.Decision() != nil {
-		t.Fatal("fixed-strategy prepare produced a planner decision")
 	}
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
@@ -120,47 +109,35 @@ func TestPreparedSnapshotStable(t *testing.T) {
 	}
 }
 
-// TestAutoExplainCarriesPlanner: EXPLAIN under auto renders the decision —
-// chosen strategy, source, and the costed rejected alternatives.
-func TestAutoExplainCarriesPlanner(t *testing.T) {
+// TestAutoExplainMatchesOptimized: EXPLAIN under auto is the optimized
+// plan, field for field.
+func TestAutoExplainMatchesOptimized(t *testing.T) {
 	ds := marketDataset(t)
 	rep, err := autoQuery(ds).ExplainQuery(Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Planner == nil {
-		t.Fatal("auto EXPLAIN has no planner node")
-	}
-	if rep.Planner.Source == "" || rep.Planner.Strategy == "" {
-		t.Fatalf("planner node incomplete: %+v", rep.Planner)
-	}
-	if len(rep.Planner.Rejected) == 0 {
-		t.Fatal("planner node lists no rejected alternatives")
-	}
-	tree := rep.Tree()
-	if !strings.Contains(tree, "planner: chose "+rep.Planner.Strategy) {
-		t.Fatalf("Tree() does not render the planner node:\n%s", tree)
-	}
-	// Fixed-strategy EXPLAIN stays planner-free.
-	fixed, err := autoQuery(ds).ExplainQuery(Optimized)
+	want, err := autoQuery(ds).ExplainQuery(Optimized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fixed.Planner != nil {
-		t.Fatal("fixed-strategy EXPLAIN grew a planner node")
+	got, _ := json.Marshal(rep)
+	wantJSON, _ := json.Marshal(want)
+	if string(got) != string(wantJSON) {
+		t.Fatalf("auto EXPLAIN\n%s\ndiffers from optimized\n%s", got, wantJSON)
 	}
 }
 
-// TestAutoExplainAnalyze: EXPLAIN ANALYZE under auto keeps both contracts —
-// the planner node and the pruning-attribution sum.
+// TestAutoExplainAnalyze: EXPLAIN ANALYZE under auto reports the optimized
+// strategy and keeps the pruning-attribution sum.
 func TestAutoExplainAnalyze(t *testing.T) {
 	ds := marketDataset(t)
 	res, rep, err := autoQuery(ds).ExplainAnalyze(Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Planner == nil {
-		t.Fatal("analyzed auto report has no planner node")
+	if rep.Strategy != "optimized" {
+		t.Fatalf("analyzed auto report strategy = %q, want optimized", rep.Strategy)
 	}
 	if !rep.Analyzed {
 		t.Fatal("report not marked analyzed")
@@ -168,48 +145,6 @@ func TestAutoExplainAnalyze(t *testing.T) {
 	if got, want := rep.SumPruned(), res.Stats.CandidatesPruned; got != want {
 		t.Fatalf("attributed pruning %d != stats pruned %d", got, want)
 	}
-}
-
-// TestAutoTraceSpan: a traced auto run records the plan:decide span; a
-// traced prepared re-run does not (planning happened once, at Prepare).
-func TestAutoTraceSpan(t *testing.T) {
-	ds := marketDataset(t)
-	tr := NewTracer(TracerOptions{Name: "test"})
-	res, err := autoQuery(ds).RunContext(WithTracer(context.Background(), tr), Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report == nil || !reportHasSpan(res.Report.Root, "plan:decide") {
-		t.Fatal("auto run did not record a plan:decide span")
-	}
-
-	p, err := autoQuery(ds).Prepare(Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2 := NewTracer(TracerOptions{Name: "test"})
-	res2, err := p.RunContext(WithTracer(context.Background(), tr2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Report != nil && reportHasSpan(res2.Report.Root, "plan:decide") {
-		t.Fatal("prepared re-run re-planned: found a plan:decide span")
-	}
-}
-
-func reportHasSpan(s *SpanReport, name string) bool {
-	if s == nil {
-		return false
-	}
-	if s.Name == name {
-		return true
-	}
-	for _, c := range s.Children {
-		if reportHasSpan(c, name) {
-			return true
-		}
-	}
-	return false
 }
 
 // TestSessionPrepare: a session-prepared handle executes through the
@@ -225,9 +160,6 @@ func TestSessionPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Decision() != nil {
-		t.Fatal("session prepare produced a planner decision")
-	}
 	got, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -242,13 +174,51 @@ func TestSessionPrepare(t *testing.T) {
 	}
 }
 
-// TestParseStrategyAuto: the auto spelling round-trips.
+// TestAutoTraceSpan: a traced auto run, inline or through a prepared
+// handle, records exactly the span tree an optimized run records — no
+// planning span, since auto names the optimized plan rather than choosing
+// one.
+func TestAutoTraceSpan(t *testing.T) {
+	ds := marketDataset(t)
+	spans := func(run func(context.Context) (*Result, error)) []string {
+		t.Helper()
+		res, err := run(WithTracer(context.Background(), NewTracer(TracerOptions{Name: "test"})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report == nil {
+			t.Fatal("traced run has no report")
+		}
+		var names []string
+		res.Report.Walk(func(s *SpanReport) { names = append(names, s.Name) })
+		return names
+	}
+	want := spans(func(ctx context.Context) (*Result, error) { return autoQuery(ds).RunContext(ctx, Optimized) })
+	inline := spans(func(ctx context.Context) (*Result, error) { return autoQuery(ds).RunContext(ctx, Auto) })
+	p, err := autoQuery(ds).Prepare(Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared := spans(p.RunContext)
+	for _, got := range [][]string{inline, prepared} {
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("auto spans %v, optimized spans %v", got, want)
+		}
+		for _, name := range got {
+			if strings.HasPrefix(name, "plan:") {
+				t.Errorf("auto run recorded a planning span %q", name)
+			}
+		}
+	}
+}
+
+// TestParseStrategyAuto: the auto spelling names the optimized strategy.
 func TestParseStrategyAuto(t *testing.T) {
 	s, err := ParseStrategy("auto")
-	if err != nil || s != Auto {
+	if err != nil || s != Optimized {
 		t.Fatalf("ParseStrategy(auto) = %v, %v", s, err)
 	}
-	if Auto.String() != "auto" {
+	if Auto.String() != "optimized" {
 		t.Fatalf("Auto.String() = %q", Auto.String())
 	}
 }

@@ -308,13 +308,6 @@ func (q *Query) Run(strat Strategy) (*Result, error) {
 // reaching engine invariants) are converted to errors at this boundary.
 func (q *Query) RunContext(ctx context.Context, strat Strategy) (res *Result, err error) {
 	defer recoverToError(&err)
-	if strat == Auto {
-		p, err := q.PrepareContext(ctx, Auto)
-		if err != nil {
-			return nil, err
-		}
-		return p.RunContext(ctx)
-	}
 	icfq, err := q.compile()
 	if err != nil {
 		return nil, err
@@ -378,13 +371,6 @@ func (q *Query) RunRules(strat Strategy, p RuleParams) ([]Rule, error) {
 // the same cancellation and budget semantics as RunContext.
 func (q *Query) RunRulesContext(ctx context.Context, strat Strategy, p RuleParams) (out []Rule, err error) {
 	defer recoverToError(&err)
-	if strat == Auto {
-		prep, err := q.PrepareContext(ctx, Auto)
-		if err != nil {
-			return nil, err
-		}
-		strat = prep.Strategy()
-	}
 	icfq, err := q.compile()
 	if err != nil {
 		return nil, err

@@ -13,12 +13,6 @@
 // only gated by the (generous) threshold; the work counters (candidates,
 // DB scans) are deterministic for a given scale and seed, and a counter
 // regression past the threshold is treated the same way.
-//
-// With -plan (the default), every workload point also runs under the
-// cost-based planner: the "auto" rows record the chosen strategy, the best
-// measured fixed strategy, and the chosen-vs-best wall regret (planning
-// time included). Under -compare, auto reaching -plan-threshold× the best
-// measured strategy fails the gate alongside metric regressions.
 package main
 
 import (
@@ -34,31 +28,22 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/mine"
-	obsworkload "repro/internal/obs/workload"
-	"repro/internal/plan"
 )
 
 // schema versions the snapshot's JSON shape.
 const schema = 1
 
-// entry is one (workload, strategy) measurement. The "auto" rows are the
-// planner's: Chosen records the strategy the cost model picked, Best the
-// workload's fastest measured fixed strategy, and Regret the chosen-vs-best
-// wall ratio (planning time included in the auto wall).
+// entry is one (workload, strategy) measurement.
 type entry struct {
-	Workload     string  `json:"workload"`
-	Strategy     string  `json:"strategy"`
-	WallNS       int64   `json:"wall_ns"`
-	Candidates   int64   `json:"candidates"`
-	Pruned       int64   `json:"pruned"`
-	DBScans      int64   `json:"db_scans"`
-	LatticeBytes int64   `json:"lattice_bytes"`
-	AllocBytes   int64   `json:"alloc_bytes"`
-	Pairs        int64   `json:"pairs"`
-	Chosen       string  `json:"chosen,omitempty"`
-	Best         string  `json:"best,omitempty"`
-	Regret       float64 `json:"regret,omitempty"`
+	Workload     string `json:"workload"`
+	Strategy     string `json:"strategy"`
+	WallNS       int64  `json:"wall_ns"`
+	Candidates   int64  `json:"candidates"`
+	Pruned       int64  `json:"pruned"`
+	DBScans      int64  `json:"db_scans"`
+	LatticeBytes int64  `json:"lattice_bytes"`
+	AllocBytes   int64  `json:"alloc_bytes"`
+	Pairs        int64  `json:"pairs"`
 }
 
 func (e entry) key() string { return e.Workload + "|" + e.Strategy }
@@ -86,8 +71,7 @@ var workloads = []workload{
 
 // The FM strategy is excluded: it is guarded to tiny item domains and the
 // Section 7 workloads run hundreds of items. Enumerated through
-// core.Strategies() so strategy selection stays centralized in the engine
-// and the planner.
+// core.Strategies() so strategy selection stays centralized in the engine.
 var strategies = func() []core.Strategy {
 	var out []core.Strategy
 	for _, st := range core.Strategies() {
@@ -116,8 +100,6 @@ func realMain() error {
 		workloadList = flag.String("workloads", "", "comma-separated workload names to run (default all)")
 		strategyList = flag.String("strategies", "", "comma-separated strategy names to run (default all)")
 		regretFlag   = flag.Bool("regret", false, "print a per-workload strategy-regret table (with -compare, cross-check best strategies against the baseline)")
-		planFlag     = flag.Bool("plan", true, "also run the cost-based planner on every workload point and record the chosen-vs-best auto row")
-		planGate     = flag.Float64("plan-threshold", 2.0, "with -compare: fail when the planner's auto wall reaches this multiple of the best measured fixed strategy")
 	)
 	flag.Parse()
 
@@ -132,13 +114,11 @@ func realMain() error {
 
 	cfg := exp.Config{Scale: *scale, Seed: *seed}
 	snap := benchFile{Schema: schema, Scale: *scale, Seed: *seed}
-	var planProblems []string
 	for _, wl := range wls {
 		q, err := wl.build(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %v", wl.name, err)
 		}
-		var best entry
 		for _, st := range strats {
 			e, err := measure(wl.name, q, st, *runs)
 			if err != nil {
@@ -147,25 +127,6 @@ func realMain() error {
 			fmt.Fprintf(os.Stderr, "%-18s %-16s wall=%-12v candidates=%-8d scans=%-4d pruned=%d\n",
 				e.Workload, e.Strategy, time.Duration(e.WallNS), e.Candidates, e.DBScans, e.Pruned)
 			snap.Entries = append(snap.Entries, e)
-			if best.Strategy == "" || e.WallNS < best.WallNS {
-				best = e
-			}
-		}
-		if *planFlag && best.Strategy != "" {
-			e, err := measureAuto(wl.name, q, *runs)
-			if err != nil {
-				return fmt.Errorf("%s/auto: %v", wl.name, err)
-			}
-			e.Best = best.Strategy
-			e.Regret = float64(e.WallNS) / float64(best.WallNS)
-			fmt.Fprintf(os.Stderr, "%-18s %-16s wall=%-12v chosen=%-16s best=%-16s regret=%.2fx\n",
-				e.Workload, e.Strategy, time.Duration(e.WallNS), e.Chosen, e.Best, e.Regret)
-			snap.Entries = append(snap.Entries, e)
-			if e.Regret >= *planGate {
-				planProblems = append(planProblems, fmt.Sprintf(
-					"%s: planner chose %s at %.2fx the best measured strategy (%s), gate is %.2fx",
-					e.Workload, e.Chosen, e.Regret, e.Best, *planGate))
-			}
 		}
 	}
 
@@ -181,7 +142,7 @@ func realMain() error {
 	}
 
 	if old != nil {
-		problems := append(compare(old, &snap, *threshold), planProblems...)
+		problems := compare(old, &snap, *threshold)
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "REGRESSION:", p)
 		}
@@ -204,14 +165,11 @@ func realMain() error {
 }
 
 // printRegret renders the per-workload strategy-regret table from the fresh
-// measurements: each strategy's wall time against the workload's best, the
-// same ratio the daemon's shadow sampler publishes per query class. With a
-// baseline, each row also carries the baseline's ratio and a best-strategy
-// disagreement is called out — the cross-check that shadow-measured regret
-// on a served workload (e.g. the fig8a cap-vs-optimized gap) reproduces
-// what the committed BENCH.json snapshot recorded, and the place where a
-// drifted belief (like BENCH's nojmax micro-inversion, now within noise)
-// shows up as a NOTE.
+// measurements: each strategy's wall time against the workload's best. With
+// a baseline, each row also carries the baseline's ratio and a
+// best-strategy disagreement is called out — the place where a drifted
+// belief (like BENCH's nojmax micro-inversion, now within noise) shows up
+// as a NOTE.
 func printRegret(fresh, base *benchFile) {
 	baseline := map[string]entry{}
 	baseBest := map[string]entry{}
@@ -256,43 +214,6 @@ func printRegret(fresh, base *benchFile) {
 				best.Strategy, ob.Strategy)
 		}
 	}
-}
-
-// measureAuto runs one workload point the way a strategy-auto request runs:
-// profile the query (one support scan), cost every strategy, decide, then
-// execute the chosen plan with its knobs (Jmax cutoff, miner) applied. The
-// planning time — profile included — is charged to the auto wall, so the
-// recorded regret is honest about overhead, not just the pick.
-func measureAuto(name string, q core.CFQ, runs int) (entry, error) {
-	planStart := time.Now()
-	defStrat, err := core.ParseStrategy(plan.CoreName(plan.Names()[0]))
-	if err != nil {
-		return entry{}, err
-	}
-	rep, feats, err := core.BuildExplainFeatures(q, defStrat)
-	if err != nil {
-		return entry{}, err
-	}
-	d := plan.New(plan.Options{}).Decide(feats, obsworkload.ClassKey(rep))
-	planNS := time.Since(planStart).Nanoseconds()
-	chosen, err := core.ParseStrategy(plan.CoreName(d.Strategy))
-	if err != nil {
-		return entry{}, err
-	}
-	q.JmaxCutoff = d.JmaxCutoff
-	if d.Miner != "" {
-		if q.Miner, err = mine.ParseMiner(d.Miner); err != nil {
-			return entry{}, err
-		}
-	}
-	e, err := measure(name, q, chosen, runs)
-	if err != nil {
-		return e, err
-	}
-	e.Strategy = "auto"
-	e.Chosen = chosen.String()
-	e.WallNS += planNS
-	return e, nil
 }
 
 // measure runs one workload point under one strategy. The work counters

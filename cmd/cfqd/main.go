@@ -1,10 +1,10 @@
 // Command cfqd serves constrained frequent set queries over HTTP/JSON: a
 // dataset registry, three query endpoints (/v1/query, /v1/explain,
 // /v1/explain-analyze) carrying the textual CFQ language, a Prepare→Execute
-// split (/v1/prepare plans once — strategy "auto" through the cost-based
-// planner — and issues a handle /v1/query replays), admission control
-// with bounded queueing, per-request budgets clamped by server maxima, and
-// a normalized-query result cache above each dataset's shared session.
+// split (/v1/prepare compiles once and issues a handle /v1/query replays),
+// admission control with bounded queueing, per-request budgets clamped by
+// server maxima, and a normalized-query result cache above each dataset's
+// shared session.
 //
 //	cfqd -addr localhost:8344 -ops-addr localhost:8345 \
 //	     -workers 8 -queue-depth 16 -default-timeout 30s
@@ -32,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -72,7 +71,7 @@ func run(args []string, ready chan<- string) error {
 		minSupFrac     = fs.Float64("minsupfrac", 0.01, "default minimum support fraction when a request sets no threshold")
 		resultEntries  = fs.Int("result-cache-entries", 256, "result cache entry bound (negative disables the cache)")
 		resultBytes    = fs.Int64("result-cache-bytes", 64<<20, "result cache byte bound")
-		defaultStrat   = fs.String("default-strategy", "", "strategy for requests that set none (optimized, nojmax, cap, apriori, fm, sequential, auto); empty = optimized, auto = cost-based planner")
+		defaultStrat   = fs.String("default-strategy", "", "strategy for requests that set none (optimized, nojmax, cap, apriori, fm, sequential); empty or auto = optimized")
 		planEntries    = fs.Int("plan-cache-entries", 256, "prepared-plan cache entry bound (negative disables /v1/prepare)")
 		planBytes      = fs.Int64("plan-cache-bytes", 8<<20, "prepared-plan cache byte bound")
 		sessionBytes   = fs.Int64("session-cache-bytes", 256<<20, "per-dataset session lattice cache byte bound (negative = unbounded)")
@@ -84,8 +83,6 @@ func run(args []string, ready chan<- string) error {
 		compactBytes   = fs.Int64("compact-bytes", 64<<20, "snapshot+truncate a dataset log after this many WAL bytes (negative disables)")
 		slowQueryMS    = fs.Int64("slow-query-ms", 0, "capture queries slower than this (or budget/error outcomes) in the slow-query log; 0 disables")
 		workloadOn     = fs.Bool("workload", false, "journal every completed query (features, strategy, pruning, outcome) for GET /v1/workload")
-		shadowSample   = fs.Float64("shadow-sample", 0, "fraction of completed queries the shadow sampler re-runs under alternate strategies (0 disables, implies -workload)")
-		shadowStrats   = fs.String("shadow-strategies", "", "comma-separated strategies the shadow sampler re-runs (default: optimized,nojmax,cap,apriori,sequential,auto)")
 		drainTimeout   = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight requests")
 		logLevel       = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		quiet          = fs.Bool("quiet", false, "disable request logging")
@@ -129,25 +126,14 @@ func run(args []string, ready chan<- string) error {
 
 	// The workload journal likewise persists beside the WALs when both the
 	// journal and a data directory are configured.
-	if *shadowSample < 0 || *shadowSample > 1 {
-		return fmt.Errorf("bad -shadow-sample %v: want a fraction in [0, 1]", *shadowSample)
-	}
 	if *defaultStrat != "" {
 		if _, err := cfq.ParseStrategy(*defaultStrat); err != nil {
 			return fmt.Errorf("bad -default-strategy: %w", err)
 		}
 	}
 	var workloadDir string
-	if (*workloadOn || *shadowSample > 0) && *dataDir != "" {
+	if *workloadOn && *dataDir != "" {
 		workloadDir = filepath.Join(*dataDir, "workload")
-	}
-	var shadowStrategies []string
-	if *shadowStrats != "" {
-		for _, name := range strings.Split(*shadowStrats, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				shadowStrategies = append(shadowStrategies, name)
-			}
-		}
 	}
 
 	srv := serve.NewServer(serve.Config{
@@ -178,8 +164,6 @@ func run(args []string, ready chan<- string) error {
 		SlowLogDir:            slowLogDir,
 		Workload:              *workloadOn,
 		WorkloadDir:           workloadDir,
-		ShadowSample:          *shadowSample,
-		ShadowStrategies:      shadowStrategies,
 		Logger:                logger,
 	})
 

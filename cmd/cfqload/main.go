@@ -11,10 +11,10 @@
 // -wait-ready polls /readyz before the run — so a daemon still replaying
 // its durable store at boot is waited for, not counted as errors.
 //
-// -strategy forwards a strategy on every request ("auto" exercises the
-// server's cost-based planner); -prepare instead plans once via /v1/prepare
-// and drives /v1/query by handle, re-preparing when a mid-run dataset
-// mutation invalidates the handle with 409 stale_generation.
+// -strategy forwards a strategy on every request; -prepare instead compiles
+// the query once via /v1/prepare and drives /v1/query by handle,
+// re-preparing when a mid-run dataset mutation invalidates the handle with
+// 409 stale_generation.
 //
 //	cfqload -addr localhost:8344 -create -clients 8 -requests 50 \
 //	        -query '{(S,T) | freq(S) >= 20 & max(S.Price) <= min(T.Price)}'
@@ -76,7 +76,7 @@ func run(args []string, out io.Writer) error {
 		genItems    = fs.Int("gen-items", 50, "item domain size for -create")
 		genSeed     = fs.Int64("gen-seed", 1, "generator seed for -create")
 		query       = fs.String("query", "{(S,T) | freq(S) & freq(T)}", "CFQ text to issue")
-		strategy    = fs.String("strategy", "", "strategy each request carries (e.g. auto for the cost-based planner); empty = server default")
+		strategy    = fs.String("strategy", "", "strategy each request carries (e.g. sequential); empty = server default")
 		prepareMode = fs.Bool("prepare", false, "plan once via /v1/prepare and execute by handle, re-preparing on 409 stale_generation")
 		minSup      = fs.Int("minsup", 0, "absolute minimum support (0 = server default)")
 		clients     = fs.Int("clients", 8, "concurrent closed-loop clients")
@@ -92,7 +92,7 @@ func run(args []string, out io.Writer) error {
 		retryCap    = fs.Duration("retry-cap", 2*time.Second, "upper bound on a single backoff sleep")
 		waitReady   = fs.Duration("wait-ready", 0, "poll the server's /readyz for up to this long before loading (0 = don't)")
 		slowMS      = fs.Int64("slow-ms", 0, "report requests slower than this with their trace ids (0 = don't)")
-		workloadRep = fs.Bool("workload", false, "fetch GET /v1/workload and /v1/workload/regret after the run and print the rollups")
+		workloadRep = fs.Bool("workload", false, "fetch GET /v1/workload after the run and print the rollups")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -305,8 +305,8 @@ func compareAnswers(hc *http.Client, pol retryPolicy, baseA, baseB string, req s
 	return nil
 }
 
-// prepareHandle plans the request once through POST /v1/prepare and returns
-// the wire handle plus the strategy the planner resolved.
+// prepareHandle compiles the request once through POST /v1/prepare and
+// returns the wire handle plus the strategy the plan runs.
 func prepareHandle(hc *http.Client, pol retryPolicy, base string, req serve.QueryRequest) (string, string, error) {
 	status, body, _, _, err := pol.post(hc, base+"/v1/prepare", req, telemetry.MintTrace().Traceparent())
 	if err != nil {
@@ -322,41 +322,21 @@ func prepareHandle(hc *http.Client, pol retryPolicy, base string, req serve.Quer
 	return pr.Handle, pr.Strategy, nil
 }
 
-// reportWorkload prints the server's workload rollups and regret table —
-// the client-side rendering of GET /v1/workload and /v1/workload/regret.
+// reportWorkload prints the server's workload rollups — the client-side
+// rendering of GET /v1/workload.
 func reportWorkload(out io.Writer, hc *http.Client, base string) error {
 	var wl serve.WorkloadResponse
 	if err := getJSON(hc, base+"/v1/workload", &wl); err != nil {
 		return err
 	}
 	if !wl.Enabled {
-		fmt.Fprintln(out, "workload: journal disabled on the server (-workload / -shadow-sample)")
+		fmt.Fprintln(out, "workload: journal disabled on the server (-workload)")
 		return nil
 	}
 	fmt.Fprintln(out, "workload classes:")
 	for _, cr := range wl.Classes {
 		fmt.Fprintf(out, "  %-48s  n=%-5d mean %7.2fms  max %7.2fms  pruned(mean) %.0f\n",
 			cr.Class, cr.Count, cr.MeanMS, cr.MaxMS, cr.MeanPruned)
-	}
-	var rt serve.RegretResponse
-	if err := getJSON(hc, base+"/v1/workload/regret", &rt); err != nil {
-		return err
-	}
-	if !rt.Enabled {
-		fmt.Fprintln(out, "regret: shadow sampler disabled on the server (-shadow-sample)")
-		return nil
-	}
-	fmt.Fprintf(out, "regret (shadow sample %.2f):\n", rt.SampleFraction)
-	for _, cr := range rt.Classes {
-		fmt.Fprintf(out, "  %s (%d shadow runs)\n", cr.Class, cr.ShadowRuns)
-		for _, sr := range cr.Strategies {
-			mark := " "
-			if sr.Best {
-				mark = "*"
-			}
-			fmt.Fprintf(out, "   %s %-12s runs=%-4d mean %8.3fms  regret %.2fx  chosen=%d\n",
-				mark, sr.Strategy, sr.Runs, sr.MeanMS, sr.Regret, sr.Chosen)
-		}
 	}
 	return nil
 }

@@ -64,11 +64,6 @@ type Query struct {
 	// mine.Budget). Shared by pointer so one budget can span several
 	// runners.
 	Budget *mine.Budget
-	// Miner selects the complete-mining algorithm for AprioriPlus, which
-	// enforces every constraint after mining and so can swap the frequent-set
-	// engine freely. Prepare/Run ignore it: constraint pushdown (Required
-	// classes, candidate filters, preset L1) is levelwise by construction.
-	Miner mine.Miner
 	// Label, when non-empty, prefixes trace span names (the CFQ engine
 	// labels its two runners "S" and "T" so a dovetailed run's spans stay
 	// distinguishable).
@@ -454,10 +449,8 @@ func Prepare(ctx context.Context, q Query) (*Runner, error) {
 
 // AprioriPlus is the naive baseline: mine every frequent set over the
 // domain, then test each against every constraint (generate-and-test).
-// Because every constraint is enforced after mining, the frequent-set
-// engine is pluggable: q.Miner selects levelwise (default), FP-growth,
-// Eclat or partition mining. ctx cancellation and budget overruns abort
-// the run with the mining layer's wrapped error.
+// ctx cancellation and budget overruns abort the run with the mining
+// layer's wrapped error.
 func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 	if q.DB == nil {
 		return nil, fmt.Errorf("cap: Query.DB is nil")
@@ -502,53 +495,31 @@ func AprioriPlus(ctx context.Context, q Query) (*Result, error) {
 
 	var levels [][]mine.Counted
 	var l1 itemset.Set
-	if q.Miner != mine.MinerLevelwise {
-		// Alternate engines mine all levels up front (no resumable stepping);
-		// MaxLevel truncation happens after the fact.
-		mined, err := mine.FrequentLevels(ctx, q.Miner, q.DB, q.MinSupport, q.Domain, q.Budget, stats)
+	lw, err := mine.New(ctx, mine.Config{
+		DB:         q.DB,
+		MinSupport: q.MinSupport,
+		Domain:     q.Domain,
+		GenMode:    q.GenMode,
+		MaxLevel:   q.MaxLevel,
+		Workers:    q.Workers,
+		Budget:     q.Budget,
+		Stats:      stats,
+		Label:      q.Label,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for !lw.Done() {
+		sets, _, err := lw.Step()
 		if err != nil {
 			return nil, err
 		}
-		if q.MaxLevel > 0 && len(mined) > q.MaxLevel {
-			mined = mined[:q.MaxLevel]
+		if lw.Level() == 1 {
+			l1 = lw.FrequentItems()
 		}
-		if len(mined) > 0 {
-			items := make([]itemset.Item, 0, len(mined[0]))
-			for _, c := range mined[0] {
-				items = append(items, c.Set[0])
-			}
-			l1 = itemset.New(items...)
-		}
-		for i, sets := range mined {
-			levels = append(levels, filterLevel(i+1, sets))
-		}
-	} else {
-		lw, err := mine.New(ctx, mine.Config{
-			DB:         q.DB,
-			MinSupport: q.MinSupport,
-			Domain:     q.Domain,
-			GenMode:    q.GenMode,
-			MaxLevel:   q.MaxLevel,
-			Workers:    q.Workers,
-			Budget:     q.Budget,
-			Stats:      stats,
-			Label:      q.Label,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for !lw.Done() {
-			sets, _, err := lw.Step()
-			if err != nil {
-				return nil, err
-			}
-			if lw.Level() == 1 {
-				l1 = lw.FrequentItems()
-			}
-			kept := filterLevel(lw.Level(), sets)
-			if lw.Level() > len(levels) {
-				levels = append(levels, kept)
-			}
+		kept := filterLevel(lw.Level(), sets)
+		if lw.Level() > len(levels) {
+			levels = append(levels, kept)
 		}
 	}
 	for len(levels) > 0 && len(levels[len(levels)-1]) == 0 {

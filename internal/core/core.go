@@ -79,9 +79,9 @@ func (s Strategy) String() string {
 }
 
 // Strategies lists every strategy in enum order. Callers that enumerate or
-// name strategies (bench harnesses, the planner) go through this and
+// name strategies (bench harnesses, the cfq wire names) go through this and
 // ParseStrategy so strategy selection stays centralized here and in
-// internal/plan.
+// internal/plan's name table.
 func Strategies() []Strategy {
 	return []Strategy{
 		StrategyOptimized, StrategyOptimizedNoJmax, StrategyCAPOnly,
@@ -128,16 +128,6 @@ type CFQ struct {
 	// overrun aborts the run with a *mine.BudgetError carrying partial
 	// stats.
 	Budget *mine.Budget
-	// JmaxCutoff, when > 0, freezes the Jmax dynamic bounds after that many
-	// dovetail iterations under StrategyOptimized: later levels stop feeding
-	// the series, so bounds established early keep pruning but no further
-	// summarization cost is paid. Bounds only ever stay looser than the full
-	// iteration would make them, so the answer is unchanged. 0 = no cutoff.
-	JmaxCutoff int
-	// Miner selects the complete-mining algorithm for strategies that mine
-	// without constraint pushdown (StrategyAprioriPlus). Constraint-pushing
-	// strategies are levelwise by construction and ignore it.
-	Miner mine.Miner
 	// Trace, when non-nil, receives one progress line per completed level
 	// per variable and per optimizer phase (for -v style logging).
 	Trace func(msg string)
@@ -369,7 +359,6 @@ func (q *CFQ) sideQuery(side twovar.Side) cap.Query {
 		MaxLevel: q.MaxLevel,
 		Workers:  q.Workers,
 		Budget:   q.Budget,
-		Miner:    q.Miner,
 		Label:    side.String(),
 	}
 	if side == twovar.SideS {
@@ -569,27 +558,19 @@ func runOptimized(ctx context.Context, q CFQ, useJmax bool) (*Result, error) {
 		if tracer != nil {
 			isp = tracer.Start(fmt.Sprintf("jmax-iter-%d", iter))
 		}
-		// Past the cutoff the bounds freeze: steps still run (and still
-		// benefit from the frozen bounds via dynFilter), but the per-level
-		// summarization stops.
-		observe := q.JmaxCutoff <= 0 || iter <= q.JmaxCutoff
 		if !sRun.Done() {
 			if _, _, err := sRun.Step(); err != nil {
 				isp.End(nil)
 				return nil, err
 			}
-			if observe {
-				observeLevel(dyns, twovar.SideT, sRun)
-			}
+			observeLevel(dyns, twovar.SideT, sRun)
 		}
 		if !tRun.Done() {
 			if _, _, err := tRun.Step(); err != nil {
 				isp.End(nil)
 				return nil, err
 			}
-			if observe {
-				observeLevel(dyns, twovar.SideS, tRun)
-			}
+			observeLevel(dyns, twovar.SideS, tRun)
 		}
 		bounded := 0
 		for i, ds := range dyns {

@@ -1,5 +1,5 @@
 // Selectivity estimation for EXPLAIN: a deliberately crude item-frequency
-// model. The planner has no histogram machinery; what it does have cheaply
+// model. The optimizer has no histogram machinery; what it does have cheaply
 // is the support of every item (one database scan). A 1-var constraint's
 // estimated selectivity is the support-weighted fraction of domain items
 // whose *singleton* satisfies it — i.e. the expected level-1 pass rate,

@@ -66,28 +66,6 @@ func BenchmarkTrieCounting(b *testing.B) {
 	}
 }
 
-func BenchmarkVerticalEndToEnd(b *testing.B) {
-	db := benchDB(5000)
-	minSup := db.Len() / 50
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := VerticalFrequent(context.Background(), db, minSup, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMaxFrequent(b *testing.B) {
-	db := benchDB(5000)
-	minSup := db.Len() / 50
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MaxFrequent(context.Background(), db, minSup, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkParallelCounting(b *testing.B) {
 	db := benchDB(20000)
 	minSup := db.Len() / 50
@@ -101,19 +79,6 @@ func BenchmarkParallelCounting(b *testing.B) {
 				lw.RunAll()
 			}
 		})
-	}
-}
-
-// BenchmarkFPGrowth measures the pattern-growth miner end to end on the
-// same workload as the levelwise benchmark.
-func BenchmarkFPGrowth(b *testing.B) {
-	db := benchDB(5000)
-	minSup := db.Len() / 50
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FPGrowth(context.Background(), db, minSup, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"repro/internal/txdb"
 )
 
-// minerCase adapts the four frequent-set miners to one shape so the
-// fault-injection sweep can cover them uniformly.
+// minerCase adapts a frequent-set miner to one shape so the
+// fault-injection sweep can cover it uniformly.
 type minerCase struct {
 	name string
 	run  func(ctx context.Context, db *txdb.DB, b *Budget, s *Stats) ([][]Counted, error)
@@ -23,15 +23,6 @@ func allMiners() []minerCase {
 	return []minerCase{
 		{"levelwise", func(ctx context.Context, db *txdb.DB, b *Budget, s *Stats) ([][]Counted, error) {
 			return AllFrequent(ctx, db, 2, nil, b, s)
-		}},
-		{"eclat", func(ctx context.Context, db *txdb.DB, b *Budget, s *Stats) ([][]Counted, error) {
-			return VerticalFrequent(ctx, db, 2, nil, b, s)
-		}},
-		{"partition", func(ctx context.Context, db *txdb.DB, b *Budget, s *Stats) ([][]Counted, error) {
-			return PartitionFrequent(ctx, db, 2, nil, 3, b, s)
-		}},
-		{"fp-growth", func(ctx context.Context, db *txdb.DB, b *Budget, s *Stats) ([][]Counted, error) {
-			return FPGrowth(ctx, db, 2, nil, b, s)
 		}},
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // ExplainReport is the machine-readable form of EXPLAIN / EXPLAIN ANALYZE:
 // the optimizer's plan as an annotated constraint list — per constraint its
-// classification, the sites where it is enforced, the planner's estimated
+// classification, the sites where it is enforced, the optimizer's estimated
 // selectivity, and (after an analyzed run) the actual candidates pruned,
 // attributed per site. The obs package owns only the shape and rendering;
 // the core optimizer builds it.
@@ -23,10 +23,6 @@ type ExplainReport struct {
 	Strategy string `json:"strategy"`
 	// Analyzed is true when the report carries actuals from a run.
 	Analyzed bool `json:"analyzed"`
-	// Planner, when the strategy was chosen by the cost-based planner
-	// (strategy "auto"), records the decision: chosen strategy, source, and
-	// the costed alternatives it rejected.
-	Planner *PlanChoice `json:"planner,omitempty"`
 	// Constraints lists every pushed constraint with its plan annotations
 	// (1-var constraints, 2-var constraints, and — after an analyzed
 	// optimized run — the reduced 1-var conditions with their origins).
@@ -59,8 +55,8 @@ type ConstraintExplain struct {
 	Origin string `json:"origin,omitempty"`
 	// EnforcedAt lists the plan stages where the constraint does work.
 	EnforcedAt []string `json:"enforced_at,omitempty"`
-	// EstimatedSelectivity is the planner's item-frequency estimate of the
-	// fraction of candidate mass the constraint keeps (-1 when the planner
+	// EstimatedSelectivity is the optimizer's item-frequency estimate of the
+	// fraction of candidate mass the constraint keeps (-1 when the optimizer
 	// has no estimate).
 	EstimatedSelectivity float64 `json:"estimated_selectivity"`
 	// ActualPruned is the analyzed candidates-pruned total for this
@@ -85,28 +81,6 @@ type BoundExplain struct {
 	ActualPruned int64 `json:"actual_pruned"`
 	// PrunedBySite breaks ActualPruned down by pruning site.
 	PrunedBySite Counters `json:"pruned_by_site,omitempty"`
-}
-
-// PlanChoice is the cost-based planner's decision as EXPLAIN renders it:
-// what was chosen, why, and the costed alternatives that lost. Costs are
-// the planner's unitless model values, comparable only within one choice.
-type PlanChoice struct {
-	Strategy   string `json:"strategy"`
-	Jmax       bool   `json:"jmax"`
-	JmaxCutoff int    `json:"jmax_cutoff,omitempty"`
-	Miner      string `json:"miner,omitempty"`
-	// Source is "model", "feedback", or "fallback".
-	Source string  `json:"source"`
-	Cost   float64 `json:"cost"`
-	// Rejected lists the alternatives, cheapest first.
-	Rejected []PlanAlternative `json:"rejected,omitempty"`
-}
-
-// PlanAlternative is one strategy the planner costed and did not choose.
-type PlanAlternative struct {
-	Strategy string  `json:"strategy"`
-	Cost     float64 `json:"cost"`
-	Reason   string  `json:"reason,omitempty"`
 }
 
 // selText renders an estimated selectivity.
@@ -144,27 +118,6 @@ func (r *ExplainReport) Tree() string {
 		body []string
 	}
 	var nodes []node
-	if p := r.Planner; p != nil {
-		n := node{head: fmt.Sprintf("planner: chose %s (source: %s, cost %.3g)", p.Strategy, p.Source, p.Cost)}
-		if p.Jmax {
-			if p.JmaxCutoff > 0 {
-				n.body = append(n.body, fmt.Sprintf("jmax: on (cutoff after %d iterations)", p.JmaxCutoff))
-			} else {
-				n.body = append(n.body, "jmax: on")
-			}
-		}
-		if p.Miner != "" && p.Miner != "levelwise" {
-			n.body = append(n.body, "miner: "+p.Miner)
-		}
-		for _, alt := range p.Rejected {
-			line := fmt.Sprintf("rejected %s: cost %.3g", alt.Strategy, alt.Cost)
-			if alt.Reason != "" {
-				line += " (" + alt.Reason + ")"
-			}
-			n.body = append(n.body, line)
-		}
-		nodes = append(nodes, n)
-	}
 	for _, c := range r.Constraints {
 		n := node{head: fmt.Sprintf("%s: %s", c.Variable, c.Constraint)}
 		n.body = append(n.body, "class: "+c.Class)

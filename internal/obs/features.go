@@ -1,11 +1,10 @@
 package obs
 
-// QueryFeatures is the planner-facing feature vector of one constrained
-// frequent set query — the inputs a cost model would consult before picking
-// a strategy: database shape, per-side support thresholds and domain sizes,
-// the estimated level-1 frequent item counts (L1 stats), the product of the
-// per-constraint selectivity estimates (internal/core/estimate.go), and the
-// constraint-mix counts. It is strategy-independent: two runs of the same
+// QueryFeatures is the feature vector of one constrained frequent set query
+// that the workload journal records: database shape, per-side support
+// thresholds and domain sizes, the estimated level-1 frequent item counts
+// (L1 stats), the product of the per-constraint selectivity estimates
+// (internal/core/estimate.go), and the constraint-mix counts. It is strategy-independent: two runs of the same
 // query under different strategies share one feature vector.
 type QueryFeatures struct {
 	// Transactions / Items describe the database snapshot (active items).

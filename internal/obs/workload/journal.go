@@ -9,8 +9,7 @@ import (
 	"repro/internal/obs/telemetry"
 )
 
-// Journal metrics. The record counter is labeled by kind so user-facing
-// traffic and shadow re-runs stay separable on /metrics.
+// Journal metrics. The record counter is labeled by record kind.
 var (
 	mJournalRecords = obs.NewCounterVec("workload_journal_records_total", "kind")
 	mJournalDropped = obs.NewCounter("workload_journal_dropped_total")
@@ -65,7 +64,7 @@ type Journal struct {
 }
 
 // classAgg accumulates the live rollup for one class key (user-facing
-// records only — shadow runs would skew the latency picture).
+// query records only).
 type classAgg struct {
 	count      int64
 	errors     int64
@@ -93,7 +92,7 @@ func OpenJournal(opts Options) (*Journal, error) {
 	return j, nil
 }
 
-// Append records one completed query or shadow run. Disk failures drop the
+// Append records one completed query. Disk failures drop the
 // line (counted, never blocking the caller) — the journal is evidence, not
 // a ledger.
 func (j *Journal) Append(rec *Record) {

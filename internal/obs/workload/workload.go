@@ -1,8 +1,5 @@
-// Package workload is the engine's cost-model ground truth: a durable
-// per-query journal (what ran, what it looked like, what it cost) plus the
-// regret bookkeeping fed by the shadow sampler (what the alternatives would
-// have cost). The cost-based strategy planner trains and validates against
-// exactly this data.
+// Package workload is a durable per-query journal of served traffic: what
+// ran, what it looked like, and what it cost.
 //
 // One JSONL record lands per completed /v1/query — canonical query hash,
 // constraint classification and enforcement sites from BuildExplain, the
@@ -10,7 +7,7 @@
 // strategy, per-phase span deltas, per-site pruning counts (summing to
 // CandidatesPruned by the attribution contract), budget outcome, and cache
 // hit/miss — persisted through the same SegmentRing machinery as the
-// slow-query log. Shadow re-runs append records with Kind "shadow".
+// slow-query log.
 package workload
 
 import (
@@ -25,38 +22,32 @@ import (
 // RecordSchema versions the journal record shape.
 const RecordSchema = 1
 
-// Record kinds.
-const (
-	KindQuery  = "query"  // a user-facing /v1/query completion
-	KindShadow = "shadow" // a shadow-sampler re-run under an alternate strategy
-)
+// KindQuery is the kind of a user-facing /v1/query completion, the only
+// kind this build writes. Journals written by older builds also hold
+// "shadow" records (re-runs under alternate strategies); they are read and
+// listed, but never folded into the class rollups.
+const KindQuery = "query"
 
 // Record is one journal line.
 type Record struct {
 	Schema int       `json:"schema"`
 	Kind   string    `json:"kind"`
 	Time   time.Time `json:"time"`
-	// TraceID / RequestID join the record to the request's telemetry
-	// (empty for shadow runs, which never touch the HTTP path).
+	// TraceID / RequestID join the record to the request's telemetry.
 	TraceID   string `json:"trace_id,omitempty"`
 	RequestID string `json:"request_id,omitempty"`
 	// Dataset / Generation pin the snapshot the query ran against.
 	Dataset    string `json:"dataset"`
 	Generation uint64 `json:"generation,omitempty"`
 	// QueryHash identifies the canonical query text; Class is the
-	// constraint-classification key (ClassKey) regret aggregates by.
+	// constraint-classification key (ClassKey) the rollups aggregate by.
 	QueryHash string `json:"query_hash"`
 	Class     string `json:"class,omitempty"`
-	// Strategy is the executed strategy (the request's mode for KindQuery,
-	// the shadowed alternative for KindShadow); Chosen names the strategy
-	// the live request used, on shadow records only.
+	// Strategy is the executed strategy (the request's mode).
 	Strategy string `json:"strategy,omitempty"`
-	Chosen   string `json:"chosen,omitempty"`
-	// Status / Code / Error describe the outcome (Code for HTTP error
-	// outcomes, Error for shadow-run failures).
+	// Status / Code describe the outcome (Code for HTTP error outcomes).
 	Status int    `json:"status,omitempty"`
 	Code   string `json:"code,omitempty"`
-	Error  string `json:"error,omitempty"`
 	Cached bool   `json:"cached,omitempty"`
 	// DurationMS is the wall time; Phases the per-phase span breakdown.
 	DurationMS float64            `json:"duration_ms"`
@@ -66,7 +57,7 @@ type Record struct {
 	PruneSites       obs.Counters `json:"prune_sites,omitempty"`
 	CandidatesPruned int64        `json:"candidates_pruned"`
 	// EnforcedAt is the union of the plan's enforcement sites; Features the
-	// strategy-independent cost-model inputs.
+	// strategy-independent feature vector.
 	EnforcedAt []string           `json:"enforced_at,omitempty"`
 	Features   *obs.QueryFeatures `json:"features,omitempty"`
 }
@@ -78,7 +69,7 @@ func QueryHash(canonical string) string {
 }
 
 // ClassKey folds an ExplainReport's constraint classifications into the
-// strategy-independent class key the regret table aggregates by: the sorted
+// strategy-independent class key the rollups aggregate by: the sorted
 // multiset of "<variable>=<class>" tags. Plan-derived entries (reduced
 // conditions, bounds) are excluded — they depend on the strategy that ran.
 func ClassKey(rep *obs.ExplainReport) string {

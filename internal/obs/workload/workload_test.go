@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -25,8 +26,9 @@ func qrec(i int, class, strat string, ms float64) *Record {
 	}
 }
 
+// srec is a re-run record of the kind older builds journaled.
 func srec(class, strat string, ms float64) *Record {
-	return &Record{Kind: KindShadow, Dataset: "d", Class: class, Strategy: strat, Chosen: "optimized", DurationMS: ms}
+	return &Record{Kind: "shadow", Dataset: "d", Class: class, Strategy: strat, DurationMS: ms}
 }
 
 func TestJournalMemRingAndRollups(t *testing.T) {
@@ -38,7 +40,7 @@ func TestJournalMemRingAndRollups(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		j.Append(qrec(i, "cls-a", "optimized", float64(i+1)))
 	}
-	j.Append(srec("cls-a", "nojmax", 0.5)) // shadow records don't fold into rollups
+	j.Append(srec("cls-a", "nojmax", 0.5)) // only query records fold into rollups
 	if got := len(j.Recent(0)); got != 3 {
 		t.Fatalf("mem ring = %d records, want 3", got)
 	}
@@ -136,54 +138,35 @@ func TestJournalDiskRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRegretTable(t *testing.T) {
-	r := NewRegret(0)
-	for i := 0; i < 3; i++ {
-		r.ObserveShadow("cls-a", "optimized", 50)
-		r.ObserveShadow("cls-a", "nojmax", 25)
-		r.ObserveChosen("cls-a", "optimized")
-	}
-	snap := r.Snapshot()
-	if len(snap) != 1 || snap[0].Class != "cls-a" || snap[0].ShadowRuns != 6 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	st := snap[0].Strategies
-	if len(st) != 2 || st[0].Strategy != "nojmax" || !st[0].Best || st[0].Regret != 1 {
-		t.Fatalf("strategies = %+v", st)
-	}
-	if st[1].Strategy != "optimized" || st[1].Regret != 2 || st[1].Best || st[1].Chosen != 3 {
-		t.Errorf("chosen strategy row = %+v", st[1])
-	}
-}
-
-func TestRegretChosenOnlyStrategy(t *testing.T) {
-	r := NewRegret(0)
-	r.ObserveShadow("c", "optimized", 10)
-	r.ObserveChosen("c", "session")
-	st := r.Snapshot()[0].Strategies
-	if len(st) != 2 || st[1].Strategy != "session" || st[1].Runs != 0 || st[1].Chosen != 1 {
-		t.Errorf("strategies = %+v", st)
-	}
-}
-
+// TestFromRecords: Replay rebuilds, from journal records alone, the rollup
+// view the live journal built while they were appended — every class, its
+// counts and strategy mix — and skips the re-run records older journals
+// hold.
 func TestFromRecords(t *testing.T) {
-	recs := []*Record{
-		qrec(1, "c", "optimized", 40),
-		srec("c", "optimized", 40),
-		srec("c", "nojmax", 20),
-		{Kind: KindShadow, Class: "c", Strategy: "sequential", Error: "budget", DurationMS: 5},
+	live, err := OpenJournal(Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap := FromRecords(recs).Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("snapshot = %+v", snap)
+	defer live.Close()
+	var recs []*Record
+	for i := 0; i < 9; i++ {
+		class, strat := "cls-a", "optimized"
+		if i%3 == 0 {
+			class, strat = "cls-b", "session"
+		}
+		rec := qrec(i, class, strat, float64(i+1))
+		live.Append(rec)
+		recs = append(recs, rec)
 	}
-	for _, sr := range snap[0].Strategies {
-		if sr.Strategy == "sequential" && sr.Runs != 0 {
-			t.Error("errored shadow run counted into the table")
-		}
-		if sr.Strategy == "nojmax" && !sr.Best {
-			t.Error("nojmax not marked best")
-		}
+	recs = append(recs, srec("cls-a", "nojmax", 0.5), srec("cls-c", "cap", 9))
+
+	replayed := Replay(recs)
+	got, want := replayed.Rollups(), live.Rollups()
+	if len(got) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed rollups %+v, live %+v", got, want)
+	}
+	if st := replayed.State(); st.Classes != 2 {
+		t.Errorf("replayed state = %+v", st)
 	}
 }
 
@@ -211,11 +194,5 @@ func TestJournalNilSafe(t *testing.T) {
 	j.Append(qrec(1, "c", "s", 1))
 	if j.Recent(1) != nil || j.Rollups() != nil || j.Close() != nil {
 		t.Error("nil Journal not inert")
-	}
-	var r *Regret
-	r.ObserveShadow("c", "s", 1)
-	r.ObserveChosen("c", "s")
-	if r.Snapshot() != nil {
-		t.Error("nil Regret not inert")
 	}
 }

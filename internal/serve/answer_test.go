@@ -112,7 +112,13 @@ func TestServedPathsAgree(t *testing.T) {
 			req := base
 			req.Strategy = "auto"
 			return query(t, url, req)
-		}, func(r *QueryResponse) bool { return r.Strategy == "auto" }},
+		}, func(r *QueryResponse) bool { return r.Strategy == "session" && !r.Cached }},
+		{"auto_no_session", nil, func(t *testing.T, _ *Server, url string) *QueryResponse {
+			req := base
+			req.Strategy = "auto"
+			req.NoSession = true
+			return query(t, url, req)
+		}, func(r *QueryResponse) bool { return r.Strategy == "optimized" }},
 		{"prepared", nil, func(t *testing.T, _ *Server, url string) *QueryResponse {
 			req := base
 			req.Strategy = "auto"
@@ -121,7 +127,7 @@ func TestServedPathsAgree(t *testing.T) {
 				t.Fatalf("prepare: status %d: %s", status, body)
 			}
 			return query(t, url, QueryRequest{Prepared: prepareResp(t, body).Handle})
-		}, func(r *QueryResponse) bool { return r.Strategy != "auto" && r.Strategy != "session" }},
+		}, func(r *QueryResponse) bool { return r.Strategy == "optimized" }},
 		{"cache_hit", nil, func(t *testing.T, _ *Server, url string) *QueryResponse {
 			query(t, url, base)
 			return query(t, url, base)

@@ -81,8 +81,8 @@ type QueryRequest struct {
 	Query string `json:"query"`
 	// Strategy selects the computation strategy for engine-driven
 	// evaluations (explain, explain-analyze, and no_session queries):
-	// optimized, nojmax, cap, apriori, fm, sequential, or auto (the
-	// cost-based planner picks). Empty uses the server's default strategy.
+	// optimized, nojmax, cap, apriori, fm, sequential, or auto (an alias
+	// of optimized). Empty uses the server's default strategy.
 	Strategy string `json:"strategy,omitempty"`
 	// Prepared executes a plan prepared via POST /v1/prepare by its handle
 	// (query endpoints only; Query/Strategy must be empty). A handle whose
@@ -148,20 +148,18 @@ type QueryResponse struct {
 }
 
 // PrepareResponse is the success envelope of POST /v1/prepare: the plan
-// handle to pass back as "prepared" on /v1/query, the concrete strategy
-// the planner resolved (never "auto"), and — for planner-chosen plans —
-// the decision with its costed rejected alternatives. Cached is true when
-// the handle came from the plan cache (no planning work was done).
+// handle to pass back as "prepared" on /v1/query and the strategy the plan
+// runs ("auto" resolves to optimized). Cached is true when the handle came
+// from the plan cache (no compilation was done).
 type PrepareResponse struct {
-	Schema     int             `json:"schema"`
-	RequestID  string          `json:"request_id"`
-	TraceID    string          `json:"trace_id,omitempty"`
-	Dataset    string          `json:"dataset"`
-	Generation uint64          `json:"generation"`
-	Handle     string          `json:"handle"`
-	Strategy   string          `json:"strategy"`
-	Cached     bool            `json:"cached,omitempty"`
-	Plan       *obs.PlanChoice `json:"plan,omitempty"`
+	Schema     int    `json:"schema"`
+	RequestID  string `json:"request_id"`
+	TraceID    string `json:"trace_id,omitempty"`
+	Dataset    string `json:"dataset"`
+	Generation uint64 `json:"generation"`
+	Handle     string `json:"handle"`
+	Strategy   string `json:"strategy"`
+	Cached     bool   `json:"cached,omitempty"`
 }
 
 // Error codes of the ErrorBody.Code field.
@@ -287,32 +285,16 @@ type SlowlogResponse struct {
 	Records     []*telemetry.SlowQueryRecord `json:"records"`
 }
 
-// WorkloadResponse is the envelope of GET /v1/workload: journal and shadow
-// sampler state plus the live per-class rollups (feature vectors, latency,
-// strategy mix). Enabled is false when the server runs without the workload
-// journal.
+// WorkloadResponse is the envelope of GET /v1/workload: journal state plus
+// the live per-class rollups (feature vectors, latency, strategy mix).
+// Enabled is false when the server runs without the workload journal.
 type WorkloadResponse struct {
 	Schema    int                    `json:"schema"`
 	RequestID string                 `json:"request_id"`
 	TraceID   string                 `json:"trace_id,omitempty"`
 	Enabled   bool                   `json:"enabled"`
 	Journal   *workload.State        `json:"journal,omitempty"`
-	Sampler   *ShadowSamplerState    `json:"sampler,omitempty"`
 	Classes   []workload.ClassRollup `json:"classes,omitempty"`
-}
-
-// RegretResponse is the envelope of GET /v1/workload/regret: the measured
-// regret table by query classification × strategy. Enabled is false when the
-// shadow sampler is off (the table still shows live-path strategy choices
-// accumulated by the journal).
-type RegretResponse struct {
-	Schema         int                    `json:"schema"`
-	RequestID      string                 `json:"request_id"`
-	TraceID        string                 `json:"trace_id,omitempty"`
-	Enabled        bool                   `json:"enabled"`
-	SampleFraction float64                `json:"sample_fraction,omitempty"`
-	Strategies     []string               `json:"strategies,omitempty"`
-	Classes        []workload.ClassRegret `json:"classes"`
 }
 
 // Limits are the server's default/maximum evaluation bounds. A request

@@ -12,12 +12,10 @@ import (
 	"repro/internal/obs"
 )
 
-// The planner surface of the daemon: one cost-based planner shared by every
-// auto-strategy evaluation (its feedback loop folds the shadow sampler's
-// measured regret back into the model), and a byte-bounded prepared-plan
-// cache keyed dataset × generation × canonical query. A plan-cache hit
-// skips classification, profiling, and costing entirely — the prepared
-// handle replays the frozen executable plan.
+// The prepared-plan surface of the daemon: a byte-bounded cache of compiled
+// queries keyed dataset × generation × canonical query, behind POST
+// /v1/prepare. A plan-cache hit skips parsing and compilation — the
+// prepared handle replays the compiled query.
 var (
 	mPlanHits      = obs.NewCounter("plan_cache_hits_total")
 	mPlanMisses    = obs.NewCounter("plan_cache_misses_total")
@@ -224,42 +222,17 @@ func (c *planCache) stats() map[string]int64 {
 	}
 }
 
-// plannerStatz is the /statz "planner" section: decision counts,
-// calibration state, and plan-cache occupancy.
-func (s *Server) plannerStatz() map[string]any {
-	return map[string]any{
-		"state":      s.planner.State(),
-		"plan_cache": s.plans.stats(),
-	}
-}
-
-// foldFeedback folds the live regret table and journal rollups into the
-// planner's per-class feedback and calibration state. Called by the shadow
-// sampler after each completed job, so measured inversions (a class where
-// the model's pick is measurably slower) flip the planner within a handful
-// of samples.
-func (s *Server) foldFeedback() {
-	wc := s.workload
-	if wc == nil {
-		return
-	}
-	s.planner.Fold(wc.regret.Snapshot(), wc.journal.Rollups())
-}
-
-// preparePlan resolves a query to a prepared plan through the plan cache:
-// a hit replays the cached plan with no planning work at all (no plan:*
-// spans); a miss prepares through the server's planner — with strategy
-// auto that is profile + cost + decide — and stores the result keyed to
-// the dataset generation. The store is skipped when the generation moved
+// preparePlan resolves a query to a prepared plan through the plan cache: a
+// hit returns the cached plan; a miss compiles the query and stores it keyed
+// to the dataset generation. The store is skipped when the generation moved
 // mid-prepare, exactly like the result cache's gen-unchanged check.
-func (s *Server) preparePlan(sc *reqScope, dataset string, gen uint64, canonical string,
-	q *cfq.Query, strat cfq.Strategy, timeout time.Duration, tracer *obs.Tracer) (*planEntry, bool, error) {
+func (s *Server) preparePlan(dataset string, gen uint64, canonical string,
+	q *cfq.Query, strat cfq.Strategy, timeout time.Duration) (*planEntry, bool, error) {
 	key := planKey(dataset, gen, canonical)
 	if e, ok := s.plans.get(key); ok {
 		return e, true, nil
 	}
-	ctx := obs.WithTracer(s.baseCtx, tracer)
-	p, err := q.PrepareWith(ctx, s.planner, strat)
+	p, err := q.Prepare(strat)
 	if err != nil {
 		return nil, false, err
 	}
@@ -280,11 +253,11 @@ func (s *Server) preparePlan(sc *reqScope, dataset string, gen uint64, canonical
 	return e, false, nil
 }
 
-// handlePrepare serves POST /v1/prepare: parse and plan the query once,
-// cache the executable plan, and return the handle clients pass back as
-// "prepared" on /v1/query. Preparing the same canonical query against the
-// same dataset generation returns the same handle with cached=true and no
-// further planning work.
+// handlePrepare serves POST /v1/prepare: parse and compile the query once,
+// cache the plan, and return the handle clients pass back as "prepared" on
+// /v1/query. Preparing the same canonical query against the same dataset
+// generation returns the same handle with cached=true and no further
+// compilation.
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	sc := s.scope(r)
 	if !s.ready.Load() {
@@ -331,7 +304,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	canonical := q.Canonical()
 	sc.gen, sc.canonical = gen, canonical
 
-	entry, cached, err := s.preparePlan(sc, req.Dataset, gen, canonical, q, strat, timeout, nil)
+	entry, cached, err := s.preparePlan(req.Dataset, gen, canonical, q, strat, timeout)
 	if err != nil {
 		s.writeEvalError(w, sc, err)
 		return
@@ -344,9 +317,6 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		Handle:     entry.handle,
 		Strategy:   entry.strategy.String(),
 		Cached:     cached,
-	}
-	if d := entry.prepared.Decision(); d != nil {
-		resp.Plan = d.Choice()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -1,19 +1,12 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/cfq"
-	"repro/internal/exp"
-	"repro/internal/gen"
-	"repro/internal/obs"
-	"repro/internal/obs/workload"
 )
 
 func prepareResp(t *testing.T, body []byte) *PrepareResponse {
@@ -34,7 +27,7 @@ func errorCode(t *testing.T, body []byte) string {
 	return resp.Error.Code
 }
 
-// TestPrepareRoundTrip: POST /v1/prepare plans once and issues a handle;
+// TestPrepareRoundTrip: POST /v1/prepare compiles once and issues a handle;
 // re-preparing the same canonical query is a cache hit with the same handle;
 // executing the handle answers exactly what a direct engine run answers.
 func TestPrepareRoundTrip(t *testing.T) {
@@ -53,20 +46,11 @@ func TestPrepareRoundTrip(t *testing.T) {
 	if len(prep.Handle) != 17 || prep.Handle[0] != 'p' {
 		t.Errorf("handle %q, want p + 16 hex chars", prep.Handle)
 	}
-	if prep.Strategy == "" || prep.Strategy == "auto" {
-		t.Errorf("strategy %q not resolved", prep.Strategy)
-	}
-	if _, err := cfq.ParseStrategy(prep.Strategy); err != nil {
-		t.Errorf("unparseable resolved strategy %q: %v", prep.Strategy, err)
+	if prep.Strategy != "optimized" {
+		t.Errorf("auto prepared as %q, want optimized", prep.Strategy)
 	}
 	if prep.Cached {
 		t.Error("first prepare claims cached")
-	}
-	if prep.Plan == nil {
-		t.Fatal("auto prepare has no plan decision")
-	}
-	if prep.Plan.Source == "" || len(prep.Plan.Rejected) == 0 {
-		t.Errorf("decision incomplete: %+v", prep.Plan)
 	}
 
 	// Idempotent re-prepare: same canonical query, same generation ⇒ same
@@ -228,196 +212,57 @@ func TestPrepareDisabled(t *testing.T) {
 	}
 }
 
-func runReportHasSpan(rep *obs.RunReport, name string) bool {
-	if rep == nil {
-		return false
-	}
-	var walk func(s *obs.SpanReport) bool
-	walk = func(s *obs.SpanReport) bool {
-		if s == nil {
-			return false
-		}
-		if s.Name == name {
-			return true
-		}
-		for _, c := range s.Children {
-			if walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(rep.Root)
-}
-
-// TestAutoPlanCacheSkipsPlanning: the first traced auto query plans (the
-// trace carries a plan:decide span); the second replays the cached plan with
-// no planner work at all — span absent, plan_cache hits counter up.
-func TestAutoPlanCacheSkipsPlanning(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-
-	req := &QueryRequest{Dataset: "market", Query: readmeQueryText, Strategy: "auto", Trace: true}
-	status, body := postJSON(t, ts.URL+"/v1/query", req)
+// TestAutoUnconstrainedRunsOptimized: an unconstrained query sent with
+// strategy auto runs the optimized plan — the same work counters as a
+// direct optimized run, not a generate-and-test baseline.
+func TestAutoUnconstrainedRunsOptimized(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const text = "{(S,T) | freq(S) & freq(T)}"
+	status, body := postJSON(t, ts.URL+"/v1/query", &QueryRequest{
+		Dataset: "market", Query: text, MinSupport: 2, Strategy: "auto",
+		NoSession: true, MaxPairs: 1000,
+	})
 	if status != http.StatusOK {
-		t.Fatalf("first auto query: status %d: %s", status, body)
-	}
-	first := queryResp(t, body)
-	if first.Strategy != "auto" {
-		t.Errorf("strategy label %q, want auto", first.Strategy)
-	}
-	if !runReportHasSpan(first.Report, "plan:decide") {
-		t.Fatal("first auto query did not record a plan:decide span")
-	}
-	hitsBefore := s.plans.stats()["hits"]
-
-	status, body = postJSON(t, ts.URL+"/v1/query", req)
-	if status != http.StatusOK {
-		t.Fatalf("second auto query: status %d: %s", status, body)
-	}
-	second := queryResp(t, body)
-	if second.Cached {
-		t.Fatal("traced request served from result cache; plan-cache path untested")
-	}
-	if runReportHasSpan(second.Report, "plan:decide") {
-		t.Error("plan-cache hit still planned: found a plan:decide span")
-	}
-	if hits := s.plans.stats()["hits"]; hits != hitsBefore+1 {
-		t.Errorf("plan cache hits %d -> %d, want +1", hitsBefore, hits)
-	}
-
-	// Both runs answer identically — and match a session run of the same text.
-	status, body = postJSON(t, ts.URL+"/v1/query",
-		&QueryRequest{Dataset: "market", Query: readmeQueryText})
-	if status != http.StatusOK {
-		t.Fatalf("session query: status %d: %s", status, body)
-	}
-	sess := queryResp(t, body)
-	var a, b, c QueryResult
-	for _, pair := range []struct {
-		raw json.RawMessage
-		out *QueryResult
-	}{{first.Result, &a}, {second.Result, &b}, {sess.Result, &c}} {
-		if err := json.Unmarshal(pair.raw, pair.out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.PairCount != b.PairCount || a.PairCount != c.PairCount {
-		t.Errorf("auto answers diverge: %d / %d vs session %d", a.PairCount, b.PairCount, c.PairCount)
-	}
-}
-
-// TestStatzPlanner: /statz exposes the planner's decision counters and the
-// plan cache occupancy.
-func TestStatzPlanner(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	if status, body := postJSON(t, ts.URL+"/v1/query",
-		&QueryRequest{Dataset: "market", Query: readmeQueryText, Strategy: "auto"}); status != http.StatusOK {
 		t.Fatalf("auto query: status %d: %s", status, body)
+	}
+	resp := queryResp(t, body)
+	if resp.Strategy != "optimized" {
+		t.Errorf("envelope strategy %q, want optimized", resp.Strategy)
+	}
+	var got QueryResult
+	if err := json.Unmarshal(resp.Result, &got); err != nil {
+		t.Fatal(err)
+	}
+	q, err := cfq.ParseQuery(marketDataset(t), text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := q.MinSupport(2).MaxPairs(1000).Run(cfq.Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.PairCount != want.PairCount || got.Stats != want.Stats {
+		t.Errorf("auto ran %d pairs with %+v, optimized %d pairs with %+v",
+			got.PairCount, got.Stats, want.PairCount, want.Stats)
+	}
+}
+
+// TestStatzPlanCache: /statz exposes the plan cache occupancy.
+func TestStatzPlanCache(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if status, body := postJSON(t, ts.URL+"/v1/prepare",
+		&QueryRequest{Dataset: "market", Query: readmeQueryText}); status != http.StatusOK {
+		t.Fatalf("prepare: status %d: %s", status, body)
 	}
 	rec := httptest.NewRecorder()
 	s.OpsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/statz", nil))
 	var statz struct {
-		Planner struct {
-			State     json.RawMessage  `json:"state"`
-			PlanCache map[string]int64 `json:"plan_cache"`
-		} `json:"planner"`
+		PlanCache map[string]int64 `json:"plan_cache"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &statz); err != nil {
 		t.Fatal(err)
 	}
-	if len(statz.Planner.State) == 0 {
-		t.Error("statz has no planner state")
-	}
-	if !strings.Contains(string(statz.Planner.State), "\"decisions\"") {
-		t.Errorf("planner state carries no decision counts: %s", statz.Planner.State)
-	}
-	if statz.Planner.PlanCache["entries"] < 1 {
-		t.Errorf("plan cache empty after an auto query: %+v", statz.Planner.PlanCache)
-	}
-}
-
-// TestAutoRegretResolvesInversion replays the TestFig8aRegretInversion
-// scenario with the planner in charge: live traffic runs strategy auto, the
-// shadow sampler measures auto against the fixed strategies, and auto's
-// measured regret lands at ≈1.0 — the planner picks a plan at (or within
-// noise of) the measured best, where the pinned CAP baseline pays ~12x.
-func TestAutoRegretResolvesInversion(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig8a workload is seconds-scale; skipped under -short")
-	}
-	cfg := exp.Config{Scale: 25, Seed: 1}
-	db, err := cfg.QuestDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	txs := make([][]int, db.Len())
-	for i := 0; i < db.Len(); i++ {
-		set := db.Transaction(i)
-		tx := make([]int, 0, set.Len())
-		for _, it := range set {
-			tx = append(tx, int(it))
-		}
-		txs[i] = tx
-	}
-	prices := gen.UniformPrices(1000, 0, 1000, cfg.Seed+101)
-
-	s := NewServer(Config{
-		ShadowSample:     1.0,
-		ShadowStrategies: []string{"cap", "optimized", "auto"},
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	spec := &DatasetSpec{Name: "fig8a", Items: 1000, Transactions: txs,
-		Numeric: map[string][]float64{"Price": prices}}
-	if status, body := postJSON(t, ts.URL+"/v1/datasets", spec); status != http.StatusCreated {
-		t.Fatalf("create: status %d: %s", status, body)
-	}
-
-	query := "{(S,T) | freq(S) >= 40 & freq(T) >= 40 & range(S.Price, 400, 1000) & range(T.Price, 0, 600) & max(S.Price) <= min(T.Price)}"
-	const live = 2
-	for i := 0; i < live; i++ {
-		status, body := postJSON(t, ts.URL+"/v1/query", &QueryRequest{
-			Dataset: "fig8a", Query: query, Strategy: "auto", NoCache: true,
-		})
-		if status != http.StatusOK {
-			t.Fatalf("query %d: status %d: %s", i, status, body)
-		}
-	}
-
-	rt := awaitShadowRuns(t, ts.URL, live*3, 2*time.Minute)
-	var cls *workload.ClassRegret
-	for i := range rt.Classes {
-		if rt.Classes[i].ShadowRuns >= live*3 {
-			cls = &rt.Classes[i]
-			break
-		}
-	}
-	if cls == nil {
-		t.Fatalf("no shadowed class in %+v", rt.Classes)
-	}
-	byName := map[string]workload.StrategyRegret{}
-	for _, sr := range cls.Strategies {
-		byName[sr.Strategy] = sr
-	}
-	auto, cap1 := byName["auto"], byName["cap"]
-	if auto.Runs != live || cap1.Runs != live {
-		t.Fatalf("runs: auto=%d cap=%d, want %d each", auto.Runs, cap1.Runs, live)
-	}
-	// The planner's pick must resolve the inversion the pinned baseline
-	// carries: auto at ≈1.0 regret (1.5 allows scheduling noise around the
-	// measured best), the CAP baseline far above it.
-	if !auto.Best && auto.Regret > 1.5 {
-		t.Errorf("auto regret %.2f, want ≈1.0 (<= 1.5)", auto.Regret)
-	}
-	if cap1.Regret < 2 {
-		t.Errorf("cap regret %.2f, want >= 2 (the inversion auto is supposed to beat)", cap1.Regret)
-	}
-	t.Logf("fig8a-overlap-33 under auto: auto min %.2fms regret %.2f (best=%v), cap min %.2fms regret %.2f",
-		auto.MinMS, auto.Regret, auto.Best, cap1.MinMS, cap1.Regret)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
+	if statz.PlanCache["entries"] != 1 || statz.PlanCache["misses"] != 1 {
+		t.Errorf("plan cache after one prepare: %+v", statz.PlanCache)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"repro/cfq"
 	"repro/internal/obs"
 	"repro/internal/obs/telemetry"
-	"repro/internal/plan"
 	"repro/internal/store"
 )
 
@@ -126,12 +125,11 @@ type Config struct {
 	// (default: 256 MiB; negative = unbounded).
 	SessionCacheBytes int64
 	// DefaultStrategy is applied when a request sets no strategy
-	// (default: "optimized"; "auto" makes the cost-based planner the
-	// default for every engine-driven evaluation).
+	// (default: "optimized"; "auto" is an alias of it).
 	DefaultStrategy string
 	// PlanCacheEntries / PlanCacheBytes bound the prepared-plan cache
-	// behind POST /v1/prepare and strategy "auto" (defaults: 256 entries,
-	// 8 MiB; set both negative to disable prepared handles).
+	// behind POST /v1/prepare (defaults: 256 entries, 8 MiB; set both
+	// negative to disable prepared handles).
 	PlanCacheEntries int
 	PlanCacheBytes   int64
 	// AllowFiles permits DatasetSpec.File (a server-side path read).
@@ -155,20 +153,11 @@ type Config struct {
 	// Workload enables the workload journal: every completed /v1/query
 	// appends one record (constraint classification, selectivity features,
 	// chosen strategy, phase deltas, per-site pruning, outcome), surfaced
-	// via GET /v1/workload. Also implied by WorkloadDir or ShadowSample.
+	// via GET /v1/workload. Also implied by WorkloadDir.
 	Workload bool
 	// WorkloadDir persists journal records to a bounded on-disk JSONL ring
 	// under this directory ("" keeps them in memory only).
 	WorkloadDir string
-	// ShadowSample, when in (0, 1], makes the shadow sampler re-run that
-	// fraction of completed queries under the alternate strategies — through
-	// the normal admission path at lowest priority — and publish measured
-	// regret via GET /v1/workload/regret. 0 disables shadowing.
-	ShadowSample float64
-	// ShadowStrategies overrides the strategy set the sampler re-runs
-	// (wire spellings; default: optimized, nojmax, cap, apriori,
-	// sequential).
-	ShadowStrategies []string
 	// Logger, when set, receives one line per request plus span events.
 	Logger *slog.Logger
 }
@@ -225,7 +214,6 @@ type Server struct {
 	red      *telemetry.RED
 	slow     *telemetry.SlowLog
 	workload *workloadCollector
-	planner  *plan.Planner
 	plans    *planCache
 	flights  *collapser
 	watchdog *watchdog // nil unless Config.MemSoftLimit > 0
@@ -248,16 +236,12 @@ func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:   cfg,
-		reg:   NewRegistry(max64(cfg.SessionCacheBytes, 0), cfg.AllowFiles),
-		adm:   newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait, cfg.TargetLatency),
-		cache: newResultCache(maxInt(cfg.ResultCacheEntries, 0), max64(cfg.ResultCacheBytes, 0)),
-		log:   cfg.Logger,
-		red:   telemetry.NewRED(),
-		// The planner's fallback must be a concrete strategy: "auto" (or
-		// empty) as the server default leaves the planner's own default at
-		// optimized (plan.Options sanitizes unknown names).
-		planner:  plan.New(plan.Options{Default: cfg.DefaultStrategy}),
+		cfg:      cfg,
+		reg:      NewRegistry(max64(cfg.SessionCacheBytes, 0), cfg.AllowFiles),
+		adm:      newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait, cfg.TargetLatency),
+		cache:    newResultCache(maxInt(cfg.ResultCacheEntries, 0), max64(cfg.ResultCacheBytes, 0)),
+		log:      cfg.Logger,
+		red:      telemetry.NewRED(),
 		plans:    newPlanCache(maxInt(cfg.PlanCacheEntries, 0), max64(cfg.PlanCacheBytes, 0)),
 		flights:  newCollapser(),
 		baseCtx:  baseCtx,
@@ -277,8 +261,8 @@ func NewServer(cfg Config) *Server {
 		}
 		s.slow = slow
 	}
-	if cfg.Workload || cfg.WorkloadDir != "" || cfg.ShadowSample > 0 {
-		s.workload = newWorkloadCollector(s, cfg)
+	if cfg.Workload || cfg.WorkloadDir != "" {
+		s.workload = newWorkloadCollector(cfg)
 	}
 	if cfg.MemSoftLimit > 0 {
 		s.watchdog = newWatchdog(s, cfg)
@@ -390,7 +374,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		"store":                      storeHealth(),
 		"slowlog":                    map[string]any{"enabled": s.slow != nil, "records": s.slow.Len(), "threshold_ms": float64(s.cfg.SlowQuery) / float64(time.Millisecond)},
 		"workload":                   s.workloadStatz(),
-		"planner":                    s.plannerStatz(),
+		"plan_cache":                 s.plans.stats(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -441,7 +425,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("POST /v1/datasets/{name}/transactions", s.instrument("datasets.mutate", s.handleMutate))
 	mux.HandleFunc("GET /v1/slowlog", s.instrument("slowlog", s.handleSlowlog))
 	mux.HandleFunc("GET /v1/workload", s.instrument("workload", s.handleWorkload))
-	mux.HandleFunc("GET /v1/workload/regret", s.instrument("workload.regret", s.handleWorkloadRegret))
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	return mux
@@ -549,9 +532,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if cerr := s.slow.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	// The workload collector closes after the base-context cancel above: the
-	// shadow executor sees the cancel, aborts any in-flight re-run at its
-	// next checkpoint, and exits before the journal is closed.
 	if cerr := s.workload.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -843,11 +823,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 			return s.writeError(w, sc, http.StatusBadRequest,
 				&ErrorBody{Code: CodeBadRequest, Message: err.Error()}), false
 		}
-		// Strategy auto always evaluates through the planner path ("auto"
-		// mode), never the session — the planner's choices are what the
-		// feedback loop measures.
 		mode = strat.String()
-		if strat != cfq.Auto && kind == kindQuery && !req.NoSession {
+		if kind == kindQuery && !req.NoSession {
 			mode = "session"
 		}
 		canonical = q.Canonical()
@@ -935,19 +912,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, 2*timeout)
 		defer cancel()
-	}
-
-	// Strategy auto resolves through the plan cache before evaluation: a
-	// cache hit replays the stored decision with no planner work at all (no
-	// plan:decide span on the trace); a miss plans once under this request's
-	// tracer and caches the prepared plan for the dataset's generation.
-	if strat == cfq.Auto && prepared == nil {
-		entry, _, perr := s.preparePlan(sc, dataset, gen, canonical, q, strat, timeout, tracer)
-		if perr != nil {
-			return s.writeEvalError(w, sc, perr), false
-		}
-		prepared, strat = entry.prepared, entry.strategy
-		sc.strat = strat
 	}
 
 	esp := tracer.Start("evaluate")

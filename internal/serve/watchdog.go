@@ -14,15 +14,14 @@ import (
 // limit and browns the server out progressively instead of letting it run
 // into the OOM killer:
 //
-//	level 1 (~75% of soft limit): pause diagnostics — the shadow sampler
-//	        stops accepting and running jobs, the slow-query capture (one
-//	        extra database scan per capture) is skipped.
+//	level 1 (~75% of soft limit): pause diagnostics — the slow-query
+//	        capture (one extra database scan per capture) is skipped.
 //	level 2 (~90%): shrink the byte bounds of the result cache, the
 //	        prepared-plan cache, and every dataset session's lattice cache
 //	        to a quarter of their configured sizes, evicting immediately,
 //	        and force one GC cycle to return the freed space.
-//	level 3 (>= 100%): shed every non-interactive admission (batch and
-//	        shadow classes) until memory recovers.
+//	level 3 (>= 100%): shed every non-interactive (batch) admission until
+//	        memory recovers.
 //
 // Recovery walks back down in reverse order with hysteresis: a level is
 // left only after wdHystSamples consecutive samples below 85% of its entry
@@ -188,7 +187,7 @@ func maxInt64(v, min int64) int64 {
 }
 
 // degradeLevel is the server's current brownout level (0 = none). Checked
-// on the hot paths it gates (shadow offers, slow-query capture) and
+// on the hot path it gates (slow-query capture) and
 // reported in shed bodies so clients can tell overload from brownout.
 func (s *Server) degradeLevel() int {
 	if s.watchdog == nil {

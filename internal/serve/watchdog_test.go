@@ -164,34 +164,3 @@ func TestWatchdogHysteresis(t *testing.T) {
 		t.Fatalf("level after first hysteresis window: %d, want 2 (stepwise descent)", got)
 	}
 }
-
-// TestWatchdogDegradedShadowPause: at degradation level >= 1 the shadow
-// sampler refuses new jobs outright (dropping and counting them) — shadow
-// re-runs are the first load the brownout sheds, before anything
-// user-visible.
-func TestWatchdogDegradedShadowPause(t *testing.T) {
-	var mem atomic.Int64
-	mem.Store(100)
-	s, _ := newTestServer(t, Config{
-		Workers: 1, QueueDepth: 4, QueueWait: time.Second,
-		MemSoftLimit: 1000, MemCheckInterval: 2 * time.Millisecond,
-		memProbe:     mem.Load,
-		ShadowSample: 1,
-	})
-	ss := s.workload.sampler
-	if ss == nil {
-		t.Fatal("shadow sampler not configured")
-	}
-	mem.Store(800)
-	waitLevel(t, s, 1)
-	before := ss.dropped.Load()
-	// The degrade gate is the first check in offer: the job is dropped and
-	// counted before any of its fields are read.
-	ss.offer(nil, nil)
-	if got := ss.dropped.Load(); got != before+1 {
-		t.Errorf("dropped %d after offer at level 1, want %d", got, before+1)
-	}
-	if got := ss.state().QueueDepth; got != 0 {
-		t.Errorf("shadow queue depth %d at level 1, want 0 (job dropped, not queued)", got)
-	}
-}

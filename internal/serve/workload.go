@@ -14,20 +14,15 @@ import (
 
 // The workload collector: every completed /v1/query appends one journal
 // record (features, classification, chosen strategy, phase deltas,
-// attributed pruning, outcome), the regret table counts the live path's
-// choices, and — when shadow sampling is on — a sampled fraction of
-// completed queries is handed to the shadow executor for alternate-strategy
-// re-runs. All of it happens after the response is written; the client
-// never waits on profiling.
+// attributed pruning, outcome). It happens after the response is written;
+// the client never waits on profiling.
 type workloadCollector struct {
 	journal *workload.Journal
-	regret  *workload.Regret
-	sampler *shadowSampler // nil when ShadowSample <= 0
 
 	// profiles caches the per-query profile (class key, enforcement sites,
 	// feature vector) by dataset × generation × canonical text: profiling
 	// costs one database scan (cfq.Query.ProfileQuery), so repeated queries
-	// — the workload a planner cares about — pay it once per generation.
+	// pay it once per generation.
 	profMu   sync.Mutex
 	profiles map[string]*queryProfile
 }
@@ -43,9 +38,8 @@ type queryProfile struct {
 }
 
 // newWorkloadCollector wires the journal (disk ring under cfg.WorkloadDir,
-// falling back to memory-only like the slow log), the regret table, and —
-// when cfg.ShadowSample > 0 — the shadow sampler.
-func newWorkloadCollector(s *Server, cfg Config) *workloadCollector {
+// falling back to memory-only like the slow log).
+func newWorkloadCollector(cfg Config) *workloadCollector {
 	journal, err := workload.OpenJournal(workload.Options{Dir: cfg.WorkloadDir})
 	if err != nil {
 		if cfg.Logger != nil {
@@ -54,15 +48,7 @@ func newWorkloadCollector(s *Server, cfg Config) *workloadCollector {
 		}
 		journal, _ = workload.OpenJournal(workload.Options{})
 	}
-	wc := &workloadCollector{
-		journal:  journal,
-		regret:   workload.NewRegret(0),
-		profiles: map[string]*queryProfile{},
-	}
-	if cfg.ShadowSample > 0 {
-		wc.sampler = newShadowSampler(s, wc, cfg)
-	}
-	return wc
+	return &workloadCollector{journal: journal, profiles: map[string]*queryProfile{}}
 }
 
 // profile resolves (computing and caching if needed) the query's profile.
@@ -94,9 +80,8 @@ func (wc *workloadCollector) profile(sc *reqScope) *queryProfile {
 	return p
 }
 
-// observe journals one finished /v1/query request and, when sampling is on,
-// offers it to the shadow executor. Called from the instrument middleware
-// after the response is written.
+// observeWorkload journals one finished /v1/query request. Called from the
+// instrument middleware after the response is written.
 func (s *Server) observeWorkload(sc *reqScope, endpoint string, status int, dur time.Duration) {
 	wc := s.workload
 	if wc == nil || endpoint != kindQuery || sc.query == nil {
@@ -130,32 +115,18 @@ func (s *Server) observeWorkload(sc *reqScope, endpoint string, status int, dur 
 		rec.PruneSites = sc.prune.Snapshot()
 	}
 	wc.journal.Append(rec)
-	if status == http.StatusOK {
-		wc.regret.ObserveChosen(rec.Class, sc.strategy)
-		if wc.sampler != nil && prof != nil {
-			wc.sampler.offer(sc, prof)
-		}
-	}
 }
 
-// Close stops the sampler (waiting, up to a bounded grace, for an in-flight
-// re-run to abort under the cancelled base context) and closes the journal.
-// Appends from an executor that outlives the grace land on the closed
-// journal and are counted as drops, never lost writes.
+// Close closes the journal.
 func (wc *workloadCollector) Close() error {
 	if wc == nil {
 		return nil
 	}
-	if wc.sampler != nil && !wc.sampler.wait() {
-		if log := wc.sampler.s.log; log != nil {
-			log.Warn("shadow executor still running at drain deadline; closing journal")
-		}
-	}
 	return wc.journal.Close()
 }
 
-// handleWorkload serves GET /v1/workload: journal + sampler state and the
-// live per-class feature/latency rollups.
+// handleWorkload serves GET /v1/workload: journal state and the live
+// per-class feature/latency rollups.
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	sc := s.scope(r)
 	resp := &WorkloadResponse{
@@ -166,28 +137,6 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		st := wc.journal.State()
 		resp.Journal = &st
 		resp.Classes = wc.journal.Rollups()
-		if wc.sampler != nil {
-			ss := wc.sampler.state()
-			resp.Sampler = &ss
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleWorkloadRegret serves GET /v1/workload/regret: the measured regret
-// table by query classification × strategy.
-func (s *Server) handleWorkloadRegret(w http.ResponseWriter, r *http.Request) {
-	sc := s.scope(r)
-	resp := &RegretResponse{
-		Schema: SchemaVersion, RequestID: sc.reqID, TraceID: sc.tc.TraceID,
-	}
-	if wc := s.workload; wc != nil {
-		resp.Enabled = wc.sampler != nil
-		if wc.sampler != nil {
-			resp.SampleFraction = wc.sampler.sample
-			resp.Strategies = wc.sampler.strategyNames()
-		}
-		resp.Classes = wc.regret.Snapshot()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -200,8 +149,5 @@ func (s *Server) workloadStatz() map[string]any {
 		return out
 	}
 	out["journal"] = wc.journal.State()
-	if wc.sampler != nil {
-		out["sampler"] = wc.sampler.state()
-	}
 	return out
 }

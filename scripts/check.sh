@@ -43,14 +43,13 @@ if grep -rn '# TYPE' --include='*.go' . | grep -v '^./internal/obs/' | grep -v '
 fi
 
 echo "== strategy-selection hygiene =="
-# Strategy choice belongs to the cost-based planner: qualified
-# core.Strategy literals outside the engine (internal/core), the decision
-# layer's boundary (internal/plan), and the experiment harness
-# (internal/exp pins strategies by design) would fork strategy selection
-# away from the planner and its wire-name mapping.
+# Strategies are named through one wire-name table: qualified core.Strategy
+# literals outside the engine (internal/core), the name table
+# (internal/plan), and the experiment harness (internal/exp pins strategies
+# by design) would fork strategy selection away from that mapping.
 if grep -rnE 'core\.Strategy[A-Z]' --include='*.go' . \
     | grep -vE '^\./internal/(plan|core|exp)/' | grep -v '_test.go'; then
-  echo "check.sh: core.Strategy selection literal outside internal/{plan,core,exp} (route through the planner / cfq.ParseStrategy)" >&2
+  echo "check.sh: core.Strategy selection literal outside internal/{plan,core,exp} (route through cfq.ParseStrategy / core.ParseStrategy)" >&2
   exit 1
 fi
 
@@ -230,7 +229,10 @@ curl -s -o /dev/null -X POST "http://$api_addr/v1/query" \
   -H "Traceparent: 00-$trace_id-cafe000000000001-01" \
   -H 'Content-Type: application/json' \
   -d '{"dataset":"load","query":"{(S,T) | freq(S) & freq(T)}","min_support":20,"budget":{"max_candidates":1},"no_cache":true,"no_session":true}'
-if ! curl -fsS "http://$api_addr/v1/slowlog" | grep -q "$trace_id"; then
+# Bodies are captured before grepping: grep -q exits at its first match,
+# and under pipefail the curl it cut off (error 23) would fail the check.
+slowlog="$(curl -fsS "http://$api_addr/v1/slowlog")"
+if ! grep -q "$trace_id" <<< "$slowlog"; then
   echo "check.sh: slow-query log has no record joining trace $trace_id" >&2
   exit 1
 fi
@@ -249,19 +251,17 @@ kill -TERM "$cfqd_pid"
 wait "$cfqd_pid" || true
 cfqd_pid=""
 
-echo "== workload journal + shadow regret smoke =="
-# Boot cfqd with the shadow sampler at full sampling (implies the workload
-# journal), push cfqload traffic with its workload report on, then require:
-# the report renders, the background sampler's re-runs land in
-# /v1/workload/regret, the workload metric families are exposed, and — after
-# a clean drain — cfqstat -verify upholds the journal's pruning-attribution
-# contract (per-site counters sum to candidates_pruned) on the durable
-# segments.
+echo "== workload journal smoke =="
+# Boot cfqd with the workload journal, push cfqload traffic with its
+# workload report on, then require: the report renders, the workload metric
+# families are exposed, and — after a clean drain — cfqstat -verify upholds
+# the journal's pruning-attribution contract (per-site counters sum to
+# candidates_pruned) on the durable segments.
 rm -rf "$check_tmp/data"
 rm -f "$check_tmp/addr"
 : > "$check_tmp/cfqd.log"
 "$check_tmp/cfqd" -addr 127.0.0.1:0 -addr-file "$check_tmp/addr" \
-  -ops-addr 127.0.0.1:0 -data-dir "$check_tmp/data" -shadow-sample 1.0 \
+  -ops-addr 127.0.0.1:0 -data-dir "$check_tmp/data" -workload \
   2> "$check_tmp/cfqd.log" &
 cfqd_pid=$!
 ops_addr=""
@@ -285,25 +285,8 @@ if ! grep -q 'workload classes:' "$check_tmp/workload.out"; then
   exit 1
 fi
 
-# The sampler re-runs queries in the background at lowest priority; poll
-# until its measurements reach the regret endpoint.
-regret_seen=""
-for _ in $(seq 1 200); do
-  if curl -fsS "http://$api_addr/v1/workload/regret" | grep -qE '"shadow_runs":[1-9]'; then
-    regret_seen=1
-    break
-  fi
-  sleep 0.1
-done
-if [[ -z "$regret_seen" ]]; then
-  echo "check.sh: /v1/workload/regret never reported a shadow run" >&2
-  curl -fsS "http://$api_addr/v1/workload/regret" >&2 || true
-  exit 1
-fi
-
 curl -fsS "http://$ops_addr/metrics" > "$check_tmp/scrape3.txt"
-for fam in workload_journal_records_total workload_shadow_runs_total \
-    workload_regret_ratio server_queue_wait_ms; do
+for fam in workload_journal_records_total server_queue_wait_ms; do
   if ! grep -q "^# TYPE $fam " "$check_tmp/scrape3.txt"; then
     echo "check.sh: family $fam missing from /metrics" >&2
     exit 1
@@ -321,94 +304,6 @@ go run ./cmd/cfqstat -dir "$check_tmp/data/workload" -verify > "$check_tmp/cfqst
 if ! grep -q 'verify: ok' "$check_tmp/cfqstat.out"; then
   echo "check.sh: cfqstat -verify failed the journal accounting contract" >&2
   cat "$check_tmp/cfqstat.out" >&2
-  exit 1
-fi
-
-echo "== planner smoke (strategy auto, /v1/prepare, regret gate) =="
-# Boot cfqd with the cost-based planner as the default strategy and the
-# shadow sampler at full sampling, push inline-auto traffic plus a
-# prepared-handle round, then require: a prepare handle is issued and
-# executes, the planner families reach /metrics and /statz exposes the
-# planner block, and — after a clean drain — cfqstat -assert-auto proves
-# on the durable journal that auto is never the worst measured strategy.
-rm -rf "$check_tmp/data"
-rm -f "$check_tmp/addr"
-: > "$check_tmp/cfqd.log"
-"$check_tmp/cfqd" -addr 127.0.0.1:0 -addr-file "$check_tmp/addr" \
-  -ops-addr 127.0.0.1:0 -data-dir "$check_tmp/data" \
-  -default-strategy auto -shadow-sample 1.0 \
-  2> "$check_tmp/cfqd.log" &
-cfqd_pid=$!
-ops_addr=""
-for _ in $(seq 1 100); do
-  ops_addr="$(sed -n 's/.*msg="ops listening" addr=//p' "$check_tmp/cfqd.log" | head -1)"
-  [[ -n "$ops_addr" && -s "$check_tmp/addr" ]] && break
-  sleep 0.1
-done
-if [[ -z "$ops_addr" || ! -s "$check_tmp/addr" ]]; then
-  echo "check.sh: planner-smoke cfqd never advertised its API/ops addresses" >&2
-  exit 1
-fi
-api_addr="$(cat "$check_tmp/addr")"
-
-"$check_tmp/cfqload" -addr "$api_addr" -wait-ready 10s -create \
-  -gen-tx 200 -gen-items 20 -minsup 20 -clients 2 -requests 5 \
-  > "$check_tmp/plan.out"
-if ! grep -q 'status 200' "$check_tmp/plan.out"; then
-  echo "check.sh: inline-auto load saw no 200 responses" >&2
-  cat "$check_tmp/plan.out" >&2
-  exit 1
-fi
-
-"$check_tmp/cfqload" -addr "$api_addr" -wait-ready 10s \
-  -minsup 20 -clients 2 -requests 3 -strategy auto -prepare \
-  > "$check_tmp/prepare.out"
-if ! grep -q 'prepared: handle p' "$check_tmp/prepare.out" \
-    || ! grep -q 'status 200' "$check_tmp/prepare.out"; then
-  echo "check.sh: prepared-handle load did not plan and execute" >&2
-  cat "$check_tmp/prepare.out" >&2
-  exit 1
-fi
-
-# The shadow sampler measures "auto" itself among the alternates; wait for
-# its measurements so the offline assert below has both sides.
-auto_seen=""
-for _ in $(seq 1 200); do
-  if curl -fsS "http://$api_addr/v1/workload/regret" | grep -q '"strategy":"auto"'; then
-    auto_seen=1
-    break
-  fi
-  sleep 0.1
-done
-if [[ -z "$auto_seen" ]]; then
-  echo "check.sh: /v1/workload/regret never measured an auto shadow run" >&2
-  curl -fsS "http://$api_addr/v1/workload/regret" >&2 || true
-  exit 1
-fi
-
-curl -fsS "http://$ops_addr/metrics" > "$check_tmp/scrape4.txt"
-for fam in plan_decisions_total plan_cache_hits_total plan_cache_misses_total; do
-  if ! grep -q "^# TYPE $fam " "$check_tmp/scrape4.txt"; then
-    echo "check.sh: family $fam missing from /metrics" >&2
-    exit 1
-  fi
-done
-if ! curl -fsS "http://$ops_addr/statz" | grep -q '"planner"'; then
-  echo "check.sh: /statz exposes no planner block" >&2
-  exit 1
-fi
-
-kill -TERM "$cfqd_pid"
-if ! wait "$cfqd_pid"; then
-  echo "check.sh: planner-smoke cfqd did not drain cleanly on SIGTERM" >&2
-  exit 1
-fi
-cfqd_pid=""
-
-go run ./cmd/cfqstat -dir "$check_tmp/data/workload" -assert-auto > "$check_tmp/assert.out"
-if ! grep -q 'assert-auto: ok' "$check_tmp/assert.out"; then
-  echo "check.sh: cfqstat -assert-auto failed (planner worst measured choice, or no auto runs)" >&2
-  cat "$check_tmp/assert.out" >&2
   exit 1
 fi
 
@@ -484,9 +379,10 @@ if ! grep -q 'compare: answers byte-identical' "$check_tmp/overload.out"; then
   exit 1
 fi
 # "level" appears only in the degradation block of /statz (pretty-printed).
-if ! curl -fsS "http://$ops_addr/statz" | grep -qE '"level": *0'; then
+statz="$(curl -fsS "http://$ops_addr/statz")"
+if ! grep -qE '"level": *0' <<< "$statz"; then
   echo "check.sh: degradation level not back at 0 after the storm" >&2
-  curl -fsS "http://$ops_addr/statz" >&2 || true
+  echo "$statz" >&2
   exit 1
 fi
 
